@@ -42,6 +42,10 @@ class HookRequiredError(PebbleError):
     """Uniformization needs an external hook for this machine."""
 
 
+class WordError(PebbleError):
+    """A word to run on holds a non-Symbol element or the bare endmarker."""
+
+
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -411,7 +415,9 @@ class Transducer:
 
     ``polarity`` maps each state to -1/0/+1; the head moves by the polarity
     of a transition's *target* state.  The machine is a plain value: nothing
-    mutates it after construction, so concurrent use is safe.
+    mutates it after construction, so concurrent use is safe.  The indexes
+    built here and the run table the runner compiles lazily are derived
+    from the fields, which is why they must never be mutated.
     """
 
     name: str
@@ -443,6 +449,7 @@ class Transducer:
         self._by_src = by_src
         self._by_dst = by_dst
         self._by_src_letter = by_src_letter
+        self._run_table = None  # compiled by the runner on first use
 
     @property
     def states(self) -> set:

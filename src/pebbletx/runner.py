@@ -1,16 +1,25 @@
-"""Operational semantics: stepping, full runs, and relation enumeration."""
+"""Operational semantics: stepping, full runs, and relation enumeration.
+
+``step``, ``step_back`` and ``enabled`` are the reference semantics, written
+over ``core.eval_test`` and ``core.apply_op``.  ``run`` and
+``enumerate_runs`` execute the same semantics on a table that each machine
+compiles lazily on its first run (``_RunTable``).
+"""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .core import (
+    ENDMARKER,
     Configuration,
     PebbleError,
     Symbol,
     Transducer,
     Transition,
+    WordError,
     apply_op,
     eval_test,
     letter_at,
@@ -38,7 +47,10 @@ class RunResult:
     """Outcome of a deterministic run.
 
     ``verdict`` is one of ``accept`` / ``reject`` / ``diverge``; accepted
-    runs end in the configuration (final, empty stack, position 0).
+    runs end in the configuration (final, empty stack, position 0).  A
+    ``diverge`` either names the ``repeated_configuration`` (loop detection)
+    or has used up ``budget``, the step limit that was in force.
+    ``max_depth`` is the highest stack height the run reached.
     """
 
     verdict: str
@@ -46,6 +58,8 @@ class RunResult:
     steps: int
     trace: Optional[tuple[tuple[Transition, Configuration], ...]] = None
     repeated_configuration: Optional[Configuration] = None
+    budget: Optional[int] = None
+    max_depth: int = 0
 
     @property
     def accepted(self) -> bool:
@@ -136,6 +150,140 @@ def step_back(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Compiled run table
+
+_NOP, _DROP, _LIFT = 0, 1, 2
+_OP_KINDS = {"nop": _NOP, "drop": _DROP, "lift": _LIFT}
+
+# Serializes table compilation; runs read compiled entries without it.
+_COMPILE_LOCK = threading.Lock()
+
+
+class _Node:
+    """A reached state: its polarity, whether it is final, and its buckets
+    (letter id -> compiled transitions), each compiled on first visit."""
+
+    __slots__ = ("state", "pol", "final", "buckets")
+
+    def __init__(self, state, pol: Optional[int], final: bool):
+        self.state = state
+        self.pol = pol
+        self.final = final
+        self.buckets: dict[int, tuple] = {}
+
+
+def _guard(t: Transition) -> tuple:
+    """``t``'s test and the enabledness of its op as one conjunction of
+    ``(is_head, i, j, negated)`` atoms over 0-based pebble indices.
+
+    ``j`` is the deepest pebble the atom reads, so a head atom repeats ``i``.
+    ``drop(i)`` needs pebble i-1 on the stack and pebble i off it;
+    ``lift(i)`` needs pebble i on the head and pebble i+1 off the stack.
+    Together these say the stack height is exactly i-1, resp. i, as
+    ``core.op_enabled`` asks.
+    """
+    atoms = [
+        (a.kind == "h", a.i - 1, (a.i if a.kind == "h" else a.j) - 1, a.negated)
+        for a in t.test.atoms
+    ]
+    i = t.op.index
+    if t.op.kind == "drop":
+        if i > 1:
+            atoms.append((False, i - 2, i - 2, False))
+        atoms.append((False, i - 1, i - 1, True))
+    elif t.op.kind == "lift":
+        atoms += [(True, i - 1, i - 1, False), (False, i, i, True)]
+    return tuple(atoms)
+
+
+def _holds(guard: tuple, peb: tuple[int, ...], head: int) -> bool:
+    """``core.eval_test`` on a flattened guard: an atom reading a pebble
+    above the stack is false, its negation true."""
+    d = len(peb)
+    for is_head, i, j, negated in guard:
+        if (j < d and peb[i] == (head if is_head else peb[j])) == negated:
+            return False
+    return True
+
+
+class _RunTable:
+    """One machine's interned states and letters.
+
+    Letter id 0 is the endmarker.  A bucket holds the transitions of one
+    (state, letter) in ``from_state_letter`` order as entries
+    ``(guard, kind, dst, out, transition)``: the guard from ``_guard``, the
+    op kind (``_NOP``/``_DROP``/``_LIFT``) and the target node.  Transitions
+    whose test is the constant false never fire and are left out.
+    Compilation cost follows the buckets runs reach, not the machine.
+    """
+
+    def __init__(self, machine: Transducer):
+        self.machine = machine
+        self.nodes: dict = {}
+        self.letter_ids: dict[Symbol, int] = {ENDMARKER: 0}
+        self.letters: list[Symbol] = [ENDMARKER]
+        self.initial = self._node(machine.initial, machine.polarity.get(machine.initial))
+
+    def _node(self, state, pol: Optional[int]) -> _Node:
+        node = self.nodes.get(state)
+        if node is None:
+            node = self.nodes[state] = _Node(state, pol, state == self.machine.final)
+        return node
+
+    def intern(self, word: tuple[Symbol, ...]) -> list[int]:
+        """Letter ids of ``#u``: index h holds the id of the letter at
+        extended position h.  Rejects what ``u`` may not contain."""
+        ids = self.letter_ids
+        lids = [0]
+        for pos, sym in enumerate(word, 1):
+            if not isinstance(sym, Symbol):
+                raise WordError(f"letter {pos} of the word is {sym!r}, not a Symbol")
+            lid = ids.get(sym)
+            if lid is None:
+                with _COMPILE_LOCK:
+                    lid = ids.get(sym)
+                    if lid is None:
+                        lid = ids[sym] = len(self.letters)
+                        self.letters.append(sym)
+            elif lid == 0:
+                raise WordError(
+                    f"letter {pos} of the word is the endmarker '#', "
+                    "which only position 0 carries"
+                )
+            lids.append(lid)
+        return lids
+
+    def bucket(self, node: _Node, lid: int) -> tuple:
+        """The compiled transitions of (node, letter ``lid``)."""
+        with _COMPILE_LOCK:
+            bucket = node.buckets.get(lid)
+            if bucket is None:
+                m = self.machine
+                bucket = node.buckets[lid] = tuple(
+                    (
+                        _guard(t),
+                        _OP_KINDS[t.op.kind],
+                        self._node(t.dst, m.pol(t.dst)),
+                        t.out,
+                        t,
+                    )
+                    for t in m.from_state_letter(node.state, self.letters[lid])
+                    if not t.test.false
+                )
+            return bucket
+
+
+def _table(machine: Transducer) -> _RunTable:
+    table = machine._run_table
+    if table is None:
+        with _COMPILE_LOCK:
+            table = machine._run_table
+            if table is None:
+                table = machine._run_table = _RunTable(machine)
+    return table
+
+
 def run(
     machine: Transducer,
     u: Word,
@@ -146,44 +294,67 @@ def run(
     """Follow the unique enabled transition from the initial configuration.
 
     Requires a deterministic machine; raises NondeterministicChoiceError if
-    two transitions are ever enabled at once.  ``detect_loop`` trades memory
-    for reporting the repeated configuration instead of a bare budget stop.
+    two transitions are ever enabled at once, and WordError if ``u`` holds a
+    non-Symbol or the bare endmarker.  ``detect_loop`` trades memory for
+    reporting the repeated configuration instead of a bare budget stop.
+
+    Runs on the machine's compiled table; at every configuration it checks,
+    in the order of the reference loop over ``step``: final, successors,
+    nondeterminism, then the budget.
     """
     word = word_symbols(u)
+    table = _table(machine)
+    lids = table.intern(word)
     if budget is None:
         budget = default_budget(machine, word)
-    c = initial_configuration(machine)
+    n = len(lids)
+    node, peb, head = table.initial, (), 0
     output: list[Symbol] = []
-    steps = 0
-    path: list[tuple[Transition, Configuration]] = []
-    visited = {c} if detect_loop else None
+    steps = max_depth = 0
+    path: Optional[list] = [] if trace else None
+    visited = {(node, peb, head)} if detect_loop else None
     while True:
-        if is_final_configuration(machine, c):
-            return RunResult(
-                "accept", tuple(output), steps, tuple(path) if trace else None
-            )
-        succ = step(machine, c, word)
-        if len(succ) > 1:
-            raise NondeterministicChoiceError(c, succ[0][0], succ[1][0])
-        if not succ:
-            return RunResult("reject", None, steps, tuple(path) if trace else None)
+        if node.final and head == 0 and not peb:
+            return _result("accept", tuple(output), steps, path, budget, max_depth)
+        bucket = node.buckets.get(lids[head])
+        if bucket is None:
+            bucket = table.bucket(node, lids[head])
+        fired = None
+        for entry in bucket:
+            if entry[0] and not _holds(entry[0], peb, head):
+                continue
+            if fired is not None:
+                config = Configuration(node.state, peb, head)
+                raise NondeterministicChoiceError(config, fired[4], entry[4])
+            fired = entry
+        if fired is None:
+            return _result("reject", None, steps, path, budget, max_depth)
         if steps >= budget:
-            return RunResult("diverge", None, steps, tuple(path) if trace else None)
-        t, c = succ[0]
-        output.extend(t.out)
+            return _result("diverge", None, steps, path, budget, max_depth)
+        _, kind, node, out, t = fired
+        if kind == _DROP:
+            peb += (head,)
+            if len(peb) > max_depth:
+                max_depth = len(peb)
+        elif kind == _LIFT:
+            peb = peb[:-1]
+        head = (head + node.pol) % n
+        if out:
+            output += out
         steps += 1
-        if trace:
-            path.append((t, c))
+        if path is not None:
+            path.append((t, Configuration(t.dst, peb, head)))
         if visited is not None:
-            if c in visited:
-                return RunResult(
-                    "diverge",
-                    None,
-                    steps,
-                    tuple(path) if trace else None,
-                    repeated_configuration=c,
-                )
-            visited.add(c)
+            key = (node, peb, head)
+            if key in visited:
+                return _result("diverge", None, steps, path, budget, max_depth,
+                               Configuration(t.dst, peb, head))
+            visited.add(key)
+
+
+def _result(verdict, output, steps, path, budget, max_depth, repeated=None) -> RunResult:
+    return RunResult(verdict, output, steps, None if path is None else tuple(path),
+                     repeated, budget, max_depth)
 
 
 def enumerate_runs(
@@ -194,32 +365,44 @@ def enumerate_runs(
     Nondeterministic machines may have unboundedly long runs, so the search
     is budgeted per path and reports truncation.  Search states are
     (configuration, output) pairs, deduplicated so that silent loops do not
-    blow the search up.
+    blow the search up.  Successors come from the same compiled buckets as
+    ``run``.
     """
     word = word_symbols(u)
+    table = _table(machine)
+    lids = table.intern(word)
     if budget is None:
         budget = default_budget(machine, word)
+    n = len(lids)
     outputs: set[tuple[Symbol, ...]] = set()
-    truncated = False
-    frontier = {(initial_configuration(machine), ())}
+    frontier = {(table.initial, (), 0, ())}
     seen = set(frontier)
     for _ in range(budget + 1):
         if not frontier:
             break
         nxt = set()
-        for c, out in frontier:
-            if is_final_configuration(machine, c):
+        for node, peb, head, out in frontier:
+            if node.final and head == 0 and not peb:
                 outputs.add(out)
                 continue
-            for t, c2 in step(machine, c, word):
-                node = (c2, out + t.out)
-                if node not in seen:
-                    seen.add(node)
-                    nxt.add(node)
+            bucket = node.buckets.get(lids[head])
+            if bucket is None:
+                bucket = table.bucket(node, lids[head])
+            for guard, kind, dst, t_out, _ in bucket:
+                if guard and not _holds(guard, peb, head):
+                    continue
+                if kind == _DROP:
+                    new = peb + (head,)
+                elif kind == _LIFT:
+                    new = peb[:-1]
+                else:
+                    new = peb
+                item = (dst, new, (head + dst.pol) % n, out + t_out)
+                if item not in seen:
+                    seen.add(item)
+                    nxt.add(item)
         frontier = nxt
-    if frontier:
-        truncated = True
-    return EnumResult(frozenset(outputs), truncated)
+    return EnumResult(frozenset(outputs), bool(frontier))
 
 
 def semantics(

@@ -128,6 +128,13 @@ def test_run_command_empty_input(capsys, squaring_file):
     assert capsys.readouterr().out.strip() == ""
 
 
+def test_run_command_rejects_inner_endmarker(capsys, squaring_file):
+    assert cli.main(["run", squaring_file, "--input", "a#b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: WordError:")
+
+
 def test_run_command_reject_exit_code(capsys, tmp_path):
     from machines import drop_two_then_copy_rest
 

@@ -15,6 +15,7 @@ from pebbletx.core import (
     TRUE,
     Transducer,
     Transition,
+    WordError,
     word_symbols,
 )
 from pebbletx.runner import (
@@ -24,9 +25,11 @@ from pebbletx.runner import (
     enumerate_runs,
     initial_configuration,
     run,
+    semantics,
     step,
     step_back,
 )
+from pebbletx.uniformize import build_config_enumerator, build_equality_annotator
 
 
 def _t0(machine):
@@ -203,3 +206,18 @@ def test_budget_soundness(sq):
     for u in words_upto("ab", 4):
         result = run(sq, u)
         assert result.steps <= default_budget(sq, word_symbols(u))
+
+
+@pytest.mark.parametrize("fn", [run, semantics, enumerate_runs])
+@pytest.mark.parametrize("word", ["a#b", "#", ("a", "b"), [Symbol("a"), 3], (ENDMARKER,)])
+def test_malformed_words_raise_word_error(sq, fn, word):
+    with pytest.raises(WordError):
+        fn(sq, word)
+
+
+def test_annotated_endmarker_is_an_ordinary_letter():
+    # C_1 writes letters such as {#;1}; only the bare '#' is reserved
+    sigma = frozenset(word_symbols("ab"))
+    marked = run(build_config_enumerator(1, sigma), "ab").output
+    assert Symbol("#", (1,)) in marked
+    assert run(build_equality_annotator(1, sigma), marked).accepted
