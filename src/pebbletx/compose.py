@@ -1,18 +1,24 @@
 """Composition of a reversible pebble transducer with a deterministic one.
 
-``compose_simple`` handles a pebbleless second machine as a synchronized
-product: sync states pair up one producing transition of the first machine
-with the consuming transition of the second, and simulation states replay
-the first machine forward or backward (using reversed transitions) to find
-the next or previous produced letter.
+``compose_general`` builds g∘f as one synchronized product, whatever the
+second machine's pebble count m.  Sync states pair up one producing
+transition of the first machine with the consuming transition of the
+second, and simulation states replay the first machine forward or backward
+(using reversed transitions) to find the next or previous produced letter.
 
-``compose_general`` lets the second machine carry pebbles.  A pebble of the
-second machine sitting on output position i is frozen as the configuration
-of the first machine's run at the moment position i was produced: its stack
-followed by its head position, pushed as a segment of the composed stack.
-Guards of the second machine are compiled against those segments
-(``xi_bar``), and its drop/lift operations become gadgets that copy or
-unwind a segment pebble by pebble.
+A pebble of the second machine sitting on output position i is frozen as
+the configuration of the first machine's run at the moment position i was
+produced: its stack followed by its head position, pushed as a segment of
+the composed stack.  Guards of the second machine are compiled against
+those segments (``xi_bar``), and its drop/lift operations become gadgets
+that copy or unwind a segment pebble by pebble.  A product state is
+``(tag, q, q2)`` followed by one ``(x, y)`` pair per frozen segment: the
+first machine's state and the segment's length.
+
+For m = 0 no segment is ever frozen: the states are ``('sync', q, q2)`` and
+``('sim', q, q2)``, at most 2·|Q|·|Q'| of them, and the result keeps the
+first machine's n pebbles (the (n+1)(m+1)-1 count at m = 0).
+``compose_simple`` names that case.
 
 Machines are built by forward reachability, so unreachable product states
 and gadget chains are pruned as constructed.
@@ -44,7 +50,7 @@ from .core import (
     satisfiable,
     test_of_op,
 )
-from .transforms import ensure_full_read, separate_drop_lift_moves, separate_ops_unchecked, split_outputs
+from .transforms import ensure_full_read, separate_ops_unchecked, split_outputs
 
 __all__ = ["compose", "compose_simple", "compose_general", "xi_bar", "build_xi"]
 
@@ -98,124 +104,19 @@ def _check_compose_preconditions(first: Transducer, second: Transducer) -> None:
 
 def compose(first: Transducer, second: Transducer) -> Transducer:
     """g∘f for f computed by a reversible machine and g by a deterministic
-    one; dispatches on the second machine's pebble count."""
-    _check_compose_preconditions(first, second)
-    if second.k == 0:
-        return compose_simple(first, second)
+    one."""
+    return compose_general(first, second)
+
+
+def compose_simple(first: Transducer, second: Transducer) -> Transducer:
+    """The m = 0 case: a pebbleless second machine."""
+    if second.k != 0:
+        raise HasPebblesError("compose_simple expects a pebbleless second machine")
     return compose_general(first, second)
 
 
 # ---------------------------------------------------------------------------
-# Simple case: second machine is pebbleless
-
-
-def compose_simple(first: Transducer, second: Transducer) -> Transducer:
-    _check_compose_preconditions(first, second)
-    if second.k != 0:
-        raise HasPebblesError("compose_simple expects a pebbleless second machine")
-    tn = normalize_first(first)
-    sn = ensure_full_read(second)
-    n = tn.k
-    pool = list(tn.transitions) + [wrap_transition(tn)]
-    by_src: dict = {}
-    by_dst: dict = {}
-    for t in pool:
-        by_src.setdefault(t.src, []).append(t)
-        by_dst.setdefault(t.dst, []).append(t)
-
-    def sync(q, q2):
-        return ("sync", q, q2)
-
-    def sim(q, q2):
-        return ("sim", q, q2)
-
-    def pol_of(state) -> int:
-        if state[0] == "sync":
-            return 0
-        return tn.pol(state[1]) * sn.pol(state[2])
-
-    init = sync(tn.initial, sn.initial)
-    fin = sync(tn.initial, sn.final)
-    polarity = {init: 0, fin: 0}
-    transitions: list[Transition] = []
-    kinds: dict[Transition, str] = {}
-    queue = deque([init])
-    seen = {init, fin}
-
-    def emit(src, letter, test, op, dst, out, kind):
-        if not satisfiable(test.conjoin(test_of_op(op, n)), n):
-            return
-        polarity.setdefault(dst, pol_of(dst))
-        t = Transition(src, letter, test, op, dst, out)
-        transitions.append(t)
-        kinds.setdefault(t, kind)
-        if dst not in seen:
-            seen.add(dst)
-            queue.append(dst)
-
-    while queue:
-        state = queue.popleft()
-        if state[0] == "sync":
-            _, q, q2 = state
-            for t in by_src.get(q, []):
-                if not t.out:
-                    continue
-                for t2 in sn.from_state_letter(q2, t.out[0]):
-                    p2 = sn.pol(t2.dst)
-                    if p2 > 0:
-                        emit(state, t.letter, t.test, t.op, sim(t.dst, t2.dst), t2.out, "tr-a")
-                    elif p2 < 0:
-                        emit(
-                            state, t.letter, t.test.conjoin(test_of_op(t.op, n)),
-                            NOP, sim(q, t2.dst), t2.out, "tr-b",
-                        )
-                    else:
-                        emit(
-                            state, t.letter, t.test.conjoin(test_of_op(t.op, n)),
-                            NOP, sync(q, t2.dst), t2.out, "tr-c",
-                        )
-        else:
-            _, q, q2 = state
-            if sn.pol(q2) > 0:
-                for t in by_src.get(q, []):
-                    if t.out:
-                        emit(
-                            state, t.letter, t.test.conjoin(test_of_op(t.op, n)),
-                            NOP, sync(q, q2), (), "sw-a",
-                        )
-                    else:
-                        emit(state, t.letter, t.test, t.op, sim(t.dst, q2), (), "mv-a")
-            else:
-                for t in by_dst.get(q, []):
-                    guard = reverse_test_under_op(t.op, t.test)
-                    rop = reverse_op(t.op)
-                    if t.out:
-                        emit(state, t.letter, guard, rop, sync(t.src, q2), (), "sw-b")
-                    else:
-                        emit(state, t.letter, guard, rop, sim(t.src, q2), (), "mv-b")
-
-    eq_used = any(a.kind == "p" for t in transitions for a in t.test.atoms)
-    return Transducer(
-        name=f"compose({first.name},{second.name})",
-        k=n,
-        input_alphabet=first.input_alphabet,
-        output_alphabet=second.output_alphabet,
-        polarity=polarity,
-        initial=init,
-        final=fin,
-        transitions=tuple(transitions),
-        equality_tests_allowed=eq_used,
-        metadata={
-            "kinds": kinds,
-            "first_normalized": tn,
-            "second_normalized": sn,
-            "state_bound": 2 * len(tn.polarity) * len(sn.polarity),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# General case: second machine carries pebbles
+# Compiling second-machine guards against frozen segments
 
 
 def _subst_atom(a: Atom, q, xbar, ybar, r: int):
@@ -282,14 +183,19 @@ def _stack_window(d: int, n: int, r: int) -> Test:
     return Test.of(*atoms)
 
 
-def _stack_exactly(size: int, r: int) -> Test:
-    """Satisfied exactly by stacks of the given size."""
-    atoms = []
-    if size >= 1:
-        atoms.append(peb_eq(size, size))
-    if size + 1 <= r:
-        atoms.append(peb_eq(size + 1, size + 1, negated=True))
-    return Test.of(*atoms)
+def _xi_base(d: int, phi: Test, op: PebbleOp, n: int, r: int) -> Test:
+    """xi_0 ∧ phi ∧ test(op), shifted past d frozen pebbles."""
+    return (
+        _stack_window(d, n, r)
+        .conjoin(phi.shifted(d, r))
+        .conjoin(test_of_op(op, n).shifted(d, r))
+    )
+
+
+def _conjoin_xi(base: Test, q, xbar, ybar, psi: Test, r: int) -> list[Test]:
+    if base.false:
+        return []
+    return [base.conjoin(term) for term in xi_bar(q, xbar, ybar, psi, r) if not term.false]
 
 
 def build_xi(
@@ -298,22 +204,17 @@ def build_xi(
     """The joint enabledness test for a (first, second) transition pair:
     (xi_0 ∧ phi ∧ test(op)) shifted past the frozen segments, conjoined with
     the compiled second-machine test.  Returned as a disjoint DNF."""
-    d = sum(ybar)
-    base = (
-        _stack_window(d, n, r)
-        .conjoin(phi.shifted(d, r))
-        .conjoin(test_of_op(op, n).shifted(d, r))
-    )
-    if base.false:
-        return []
-    return [base.conjoin(term) for term in xi_bar(q, xbar, ybar, psi, r) if not term.false]
+    return _conjoin_xi(_xi_base(sum(ybar), phi, op, n, r), q, xbar, ybar, psi, r)
+
+
+# ---------------------------------------------------------------------------
+# The product construction
 
 
 def compose_general(first: Transducer, second: Transducer) -> Transducer:
     _check_compose_preconditions(first, second)
     tn = normalize_first(first)
-    sn = ensure_full_read(second)
-    sn = separate_drop_lift_moves(sn) if is_reversible(sn) else separate_ops_unchecked(sn)
+    sn = separate_ops_unchecked(ensure_full_read(second))
     n, m = tn.k, sn.k
     r = (n + 1) * (m + 1) - 1
     pool = list(tn.transitions) + [wrap_transition(tn)]
@@ -322,12 +223,29 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
     for t in pool:
         by_src.setdefault(t.src, []).append(t)
         by_dst.setdefault(t.dst, []).append(t)
+    memo: dict = {}  # keyed by id(t); pool keeps every t alive
 
-    def sync(q, q2, xbar, ybar):
-        return ("sync", q, q2, xbar, ybar)
+    def shifted(kind, t, d):
+        """First-machine transition t shifted past d frozen pebbles, built once
+        per (kind, t, d): "base" is xi_0 ∧ phi ∧ test(op), "fwd" and "bwd" the
+        (guard, op) replaying t forward (a producing t only switches to sync)
+        and backward."""
+        key = (kind, id(t), d)
+        found = memo.get(key)
+        if found is None:
+            if kind == "base":
+                found = _xi_base(d, t.test, t.op, n, r)
+            elif kind == "fwd":
+                guard = t.test.conjoin(test_of_op(t.op, n)) if t.out else t.test
+                found = (guard.shifted(d, r), NOP if t.out else t.op.shifted(d, r))
+            else:
+                guard = reverse_test_under_op(t.op, t.test)
+                found = (guard.shifted(d, r), reverse_op(t.op).shifted(d, r))
+            memo[key] = found
+        return found
 
-    def sim(q, q2, xbar, ybar):
-        return ("sim", q, q2, xbar, ybar)
+    def xi(t, q, xbar, ybar, psi):
+        return _conjoin_xi(shifted("base", t, sum(ybar)), q, xbar, ybar, psi, r)
 
     def pol_of(state) -> int:
         tag = state[0]
@@ -337,13 +255,12 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             return tn.pol(state[1]) * sn.pol(state[2])
         return 1  # gadget-internal states scan right
 
-    init = sync(tn.initial, sn.initial, (), ())
-    fin = sync(tn.initial, sn.final, (), ())
+    init = ("sync", tn.initial, sn.initial)
+    fin = ("sync", tn.initial, sn.final)
     polarity = {init: 0, fin: 0}
     transitions: list[Transition] = []
     kinds: dict[Transition, str] = {}
     queue = deque([init])
-    seen = {init, fin}
     # gadget exits registered while processing the owning sync state:
     # state -> list of (letter, test, target, kind)
     pending_exits: dict = {}
@@ -351,41 +268,41 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
     def emit(src, letter, test, op, dst, out, kind):
         if not satisfiable(test.conjoin(test_of_op(op, r)), r):
             return
-        polarity.setdefault(dst, pol_of(dst))
         t = Transition(src, letter, test, op, dst, out)
         transitions.append(t)
         kinds.setdefault(t, kind)
-        if dst not in seen:
-            seen.add(dst)
+        if dst not in polarity:
+            polarity[dst] = pol_of(dst)
             queue.append(dst)
 
     all_letters = sorted(tn.input_alphabet) + [ENDMARKER]
 
     def process_sync(state):
-        _, q, q2, xbar, ybar = state
-        k = len(xbar)
-        d = sum(ybar)
+        q, q2, frames = state[1], state[2], state[3:]
+        xbar = tuple(x for x, _ in frames)
+        ybar = tuple(y for _, y in frames)
+        d, k = sum(ybar), len(frames)
         for t in by_src.get(q, []):
             if not t.out:
                 continue
             for t2 in sn.from_state_letter(q2, t.out[0]):
                 psi = t2.test.conjoin(test_of_op(t2.op, m))
                 if t2.op.is_nop():
-                    for test in build_xi(q, xbar, ybar, t.test, t.op, psi, n, r):
-                        p2 = sn.pol(t2.dst)
+                    p2 = sn.pol(t2.dst)
+                    for test in xi(t, q, xbar, ybar, psi):
                         if p2 > 0:
                             emit(state, t.letter, test, t.op.shifted(d, r),
-                                 sim(t.dst, t2.dst, xbar, ybar), t2.out, "gtr-a")
+                                 ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
                         elif p2 < 0:
                             emit(state, t.letter, test, NOP,
-                                 sim(q, t2.dst, xbar, ybar), t2.out, "gtr-b")
+                                 ("sim", q, t2.dst) + frames, t2.out, "tr-b")
                         else:
                             emit(state, t.letter, test, NOP,
-                                 sync(q, t2.dst, xbar, ybar), t2.out, "gtr-c")
+                                 ("sync", q, t2.dst) + frames, t2.out, "tr-c")
                 elif t2.op.kind == "lift":
                     if t2.op.index != k or k == 0 or xbar[-1] != q:
                         continue
-                    target = sync(q, t2.dst, xbar[:-1], ybar[:-1])
+                    target = ("sync", q, t2.dst) + frames[:-1]
                     exit_psi = reverse_test_under_op(t2.op, t2.test).conjoin(
                         test_of_op(reverse_op(t2.op), m)
                     )
@@ -394,17 +311,14 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                     # lengths into the same sync state would be jointly
                     # reverse-enabled.  The entry test forces this size, so
                     # nothing is lost.
-                    pin = _stack_exactly(d - 1, r)
+                    pin = _stack_window(d - 1, 0, r)
                     exit_tests = [
-                        x.conjoin(pin)
-                        for x in build_xi(
-                            q, xbar[:-1], ybar[:-1], t.test, t.op, exit_psi, n, r
-                        )
+                        x.conjoin(pin) for x in xi(t, q, xbar[:-1], ybar[:-1], exit_psi)
                     ]
-                    entry = ("liftg", q, q2, xbar, ybar, 1)
-                    for test in build_xi(q, xbar, ybar, t.test, t.op, psi, n, r):
+                    entry = ("liftg", q, q2, 1) + frames
+                    for test in xi(t, q, xbar, ybar, psi):
                         emit(state, t.letter, test, NOP, entry, t2.out, "lift-a")
-                    exits = pending_exits.setdefault(("liftg0", q, q2, xbar, ybar), [])
+                    exits = pending_exits.setdefault(("liftg0", q, q2) + frames, [])
                     for test in exit_tests:
                         exits.append((t.letter, test, target, "lift-b"))
                 else:  # drop
@@ -413,44 +327,38 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                     exit_psi = reverse_test_under_op(t2.op, t2.test).conjoin(
                         test_of_op(reverse_op(t2.op), m)
                     )
+                    entry_tests = xi(t, q, xbar, ybar, psi)
                     for z in range(1, n + 2):
-                        xbar2, ybar2 = xbar + (q,), ybar + (z,)
-                        target = sync(q, t2.dst, xbar2, ybar2)
-                        entry = ("dropg", q, q2, xbar, ybar, z, 1)
-                        for test in build_xi(q, xbar, ybar, t.test, t.op, psi, n, r):
+                        target = ("sync", q, t2.dst) + frames + ((q, z),)
+                        entry = ("dropg", q, q2, z, 1) + frames
+                        for test in entry_tests:
                             emit(state, t.letter, test, drop(d + z), entry, t2.out, "drop-a")
-                        exits = pending_exits.setdefault(
-                            ("dropg", q, q2, xbar, ybar, z, z), []
-                        )
-                        for test in build_xi(
-                            q, xbar2, ybar2, t.test, t.op, exit_psi, n, r
-                        ):
+                        exits = pending_exits.setdefault(("dropg", q, q2, z, z) + frames, [])
+                        for test in xi(t, q, xbar + (q,), ybar + (z,), exit_psi):
                             exits.append((t.letter, test, target, "drop-b"))
 
     def process_sim(state):
-        _, q, q2, xbar, ybar = state
-        d = sum(ybar)
+        q, q2, frames = state[1], state[2], state[3:]
+        d = sum(y for _, y in frames)
         if sn.pol(q2) > 0:
             for t in by_src.get(q, []):
+                guard, op = shifted("fwd", t, d)
                 if t.out:
-                    guard = t.test.conjoin(test_of_op(t.op, n)).shifted(d, r)
-                    emit(state, t.letter, guard, NOP, sync(q, q2, xbar, ybar), (), "gsw-a")
+                    emit(state, t.letter, guard, op, ("sync", q, q2) + frames, (), "sw-a")
                 else:
-                    emit(state, t.letter, t.test.shifted(d, r), t.op.shifted(d, r),
-                         sim(t.dst, q2, xbar, ybar), (), "gmv-a")
+                    emit(state, t.letter, guard, op, ("sim", t.dst, q2) + frames, (), "mv-a")
         else:
             for t in by_dst.get(q, []):
-                guard = reverse_test_under_op(t.op, t.test).shifted(d, r)
-                rop = reverse_op(t.op).shifted(d, r)
+                guard, rop = shifted("bwd", t, d)
                 if t.out:
-                    emit(state, t.letter, guard, rop, sync(t.src, q2, xbar, ybar), (), "gsw-b")
+                    emit(state, t.letter, guard, rop, ("sync", t.src, q2) + frames, (), "sw-b")
                 else:
-                    emit(state, t.letter, guard, rop, sim(t.src, q2, xbar, ybar), (), "gmv-b")
+                    emit(state, t.letter, guard, rop, ("sim", t.src, q2) + frames, (), "mv-b")
 
     def process_liftg(state):
-        _, q, q2, xbar, ybar, ell = state
-        d = sum(ybar)
-        y = ybar[-1]
+        q, q2, ell, frames = state[1], state[2], state[3], state[4:]
+        d = sum(y for _, y in frames)
+        y = frames[-1][1]
         loop_test = Test.of(
             head_eq(d - ell + 1, negated=True), head_eq(d + y - ell, negated=True)
         )
@@ -458,18 +366,17 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             emit(state, sigma, loop_test, NOP, state, (), "lift-scan")
             if ell < y:
                 emit(state, sigma, Test.of(head_eq(d - ell)), lift(d + y - ell),
-                     ("liftg", q, q2, xbar, ybar, ell + 1), (), "lift-pop")
+                     ("liftg", q, q2, ell + 1) + frames, (), "lift-pop")
             else:
-                emit(state, sigma, TRUE, lift(d),
-                     ("liftg0", q, q2, xbar, ybar), (), "lift-pop")
+                emit(state, sigma, TRUE, lift(d), ("liftg0", q, q2) + frames, (), "lift-pop")
 
-    def process_liftg0(state):
+    def process_exits(state):
         for letter, test, target, kind in pending_exits.get(state, []):
             emit(state, letter, test, NOP, target, (), kind)
 
     def process_dropg(state):
-        _, q, q2, xbar, ybar, z, ell = state
-        d = sum(ybar)
+        q, q2, z, ell, frames = state[1], state[2], state[3], state[4], state[5:]
+        d = sum(y for _, y in frames)
         loop_test = Test.of(
             head_eq(d + z + ell - 1, negated=True), head_eq(d + ell, negated=True)
         )
@@ -477,16 +384,15 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             emit(state, sigma, loop_test, NOP, state, (), "drop-scan")
             if ell < z:
                 emit(state, sigma, Test.of(head_eq(d + ell)), drop(d + z + ell),
-                     ("dropg", q, q2, xbar, ybar, z, ell + 1), (), "drop-push")
+                     ("dropg", q, q2, z, ell + 1) + frames, (), "drop-push")
         if ell == z:
-            for letter, test, target, kind in pending_exits.get(state, []):
-                emit(state, letter, test, NOP, target, (), kind)
+            process_exits(state)
 
     handlers = {
         "sync": process_sync,
         "sim": process_sim,
         "liftg": process_liftg,
-        "liftg0": process_liftg0,
+        "liftg0": process_exits,
         "dropg": process_dropg,
     }
     while queue:

@@ -173,6 +173,8 @@ class Test:
     def conjoin(self, other: "Test") -> "Test":
         if self.false or other.false:
             return FALSE
+        if not other.atoms:
+            return self
         return Test.of(*(self.atoms + other.atoms))
 
     def with_atoms(self, extra: Iterable[Atom]) -> "Test":
@@ -307,7 +309,7 @@ def shift_op(op: PebbleOp, d: int, k: Optional[int] = None) -> PebbleOp:
 def shift_test(t: Test, d: int, k: Optional[int] = None) -> Test:
     if t.false:
         return FALSE
-    shifted = Test.of(*(a.shifted(d) for a in t.atoms))
+    shifted = Test.of(*(a.shifted(d) for a in t.atoms)) if d else t
     if k is not None and shifted.max_index() > k:
         raise IndexError(f"shifted test {shifted.render()} exceeds k={k}")
     return shifted
@@ -469,11 +471,6 @@ class Transducer:
 
     def letters(self) -> frozenset[Symbol]:
         return self.input_alphabet | {ENDMARKER}
-
-    def uses_equality_atoms(self) -> bool:
-        return any(
-            a.kind == "p" for t in self.transitions for a in t.test.atoms
-        )
 
     def replace(self, **changes) -> "Transducer":
         fields = dict(

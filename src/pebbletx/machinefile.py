@@ -35,6 +35,23 @@ class MachineFileError(PebbleError):
         self.where = where
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MachineFileError(where, f"expected a list, got {value!r}")
+    return value
+
+
+def _bits(value, where: str) -> tuple[int, ...]:
+    bits = tuple(_list(value, where))
+    if not all(_is_int(b) and b in (0, 1) for b in bits):
+        raise MachineFileError(where, f"bits are 0 or 1, got {value!r}")
+    return bits
+
+
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -72,8 +89,11 @@ def _symbol_from_json(value, where: str) -> Symbol:
     matrix = value.get("matrix")
     return Symbol(
         base,
-        None if bits is None else tuple(int(b) for b in bits),
-        None if matrix is None else tuple(tuple(int(b) for b in row) for row in matrix),
+        None if bits is None else _bits(bits, f"{where}.bits"),
+        None if matrix is None else tuple(
+            _bits(row, f"{where}.matrix[{i}]")
+            for i, row in enumerate(_list(matrix, f"{where}.matrix"))
+        ),
     )
 
 
@@ -114,12 +134,12 @@ def _test_from_json(value, where: str, k: int) -> Test:
         if kind == "head":
             if "j" in obj:
                 raise MachineFileError(w, "head atoms take no 'j'")
-            if not isinstance(i, int) or not 1 <= i <= k:
+            if not _is_int(i) or not 1 <= i <= k:
                 raise MachineFileError(w, f"IndexOutOfRange: i={i!r} with k={k}")
             atoms.append(head_eq(i, neg))
         elif kind == "peb":
             j = obj.get("j")
-            if not isinstance(i, int) or not isinstance(j, int) or not (
+            if not _is_int(i) or not _is_int(j) or not (
                 1 <= i <= k and 1 <= j <= k
             ):
                 raise MachineFileError(w, f"IndexOutOfRange: i={i!r}, j={j!r} with k={k}")
@@ -149,7 +169,7 @@ def _op_from_json(value, where: str, k: int) -> PebbleOp:
     if kind not in ("drop", "lift"):
         raise MachineFileError(where, f"bad op kind {kind!r}")
     index = value.get("index")
-    if not isinstance(index, int) or not 1 <= index <= k:
+    if not _is_int(index) or not 1 <= index <= k:
         raise MachineFileError(where, f"IndexOutOfRange: index={index!r} with k={k}")
     return PebbleOp(kind, index)
 
@@ -223,41 +243,51 @@ def parse(text: str) -> Transducer:
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise MachineFileError("document", f"missing fields {sorted(missing)}")
-    if doc["format_version"] != FORMAT_VERSION:
+    if not _is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise MachineFileError("format_version", f"unsupported version {doc['format_version']!r}")
+    for key, kind in (("name", str), ("equality_tests", bool)):
+        if not isinstance(doc[key], kind):
+            raise MachineFileError(key, f"expected {kind.__name__}, got {doc[key]!r}")
     k = doc["pebbles"]
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise MachineFileError("pebbles", f"bad pebble count {k!r}")
     input_alphabet = frozenset(
-        _symbol_from_json(v, f"input_alphabet[{i}]") for i, v in enumerate(doc["input_alphabet"])
+        _symbol_from_json(v, f"input_alphabet[{i}]")
+        for i, v in enumerate(_list(doc["input_alphabet"], "input_alphabet"))
     )
     output_alphabet = frozenset(
-        _symbol_from_json(v, f"output_alphabet[{i}]") for i, v in enumerate(doc["output_alphabet"])
+        _symbol_from_json(v, f"output_alphabet[{i}]")
+        for i, v in enumerate(_list(doc["output_alphabet"], "output_alphabet"))
     )
     polarity: dict = {}
-    for i, st in enumerate(doc["states"]):
+    for i, st in enumerate(_list(doc["states"], "states")):
         where = f"states[{i}]"
         if not isinstance(st, dict) or set(st) != {"id", "polarity"}:
             raise MachineFileError(where, f"expected {{id, polarity}}, got {st!r}")
-        if st["polarity"] not in (-1, 0, 1):
+        if not isinstance(st["id"], str):
+            raise MachineFileError(where, f"state ids are strings, got {st['id']!r}")
+        if not _is_int(st["polarity"]) or st["polarity"] not in (-1, 0, 1):
             raise MachineFileError(where, f"bad polarity {st['polarity']!r}")
         if st["id"] in polarity:
             raise MachineFileError(where, f"duplicate state {st['id']!r}")
         polarity[st["id"]] = st["polarity"]
 
     def known_state(s, where):
-        if s not in polarity:
+        if not isinstance(s, str) or s not in polarity:
             raise MachineFileError(where, f"UnknownState: {s!r}")
         return s
 
     transitions = []
-    for i, tr in enumerate(doc["transitions"]):
+    for i, tr in enumerate(_list(doc["transitions"], "transitions")):
         where = f"transitions[{i}]"
         if not isinstance(tr, dict):
             raise MachineFileError(where, f"expected an object, got {tr!r}")
         unknown = set(tr) - {"from", "letter", "test", "op", "to", "output"}
         if unknown:
             raise MachineFileError(where, f"unknown fields {sorted(unknown)}")
+        missing = {"from", "to"} - set(tr)
+        if missing:
+            raise MachineFileError(where, f"missing fields {sorted(missing)}")
         transitions.append(
             Transition(
                 known_state(tr["from"], f"{where}.from"),
@@ -267,7 +297,7 @@ def parse(text: str) -> Transducer:
                 known_state(tr["to"], f"{where}.to"),
                 tuple(
                     _symbol_from_json(v, f"{where}.output[{j}]")
-                    for j, v in enumerate(tr.get("output", []))
+                    for j, v in enumerate(_list(tr.get("output", []), f"{where}.output"))
                 ),
             )
         )
@@ -280,7 +310,7 @@ def parse(text: str) -> Transducer:
         initial=known_state(doc["initial"], "initial"),
         final=known_state(doc["final"], "final"),
         transitions=tuple(transitions),
-        equality_tests_allowed=bool(doc["equality_tests"]),
+        equality_tests_allowed=doc["equality_tests"],
     )
 
 

@@ -288,7 +288,19 @@ def ensure_full_read(machine: Transducer) -> Transducer:
     return machine.replace(polarity=polarity, transitions=tuple(transitions))
 
 
-def _separate(machine: Transducer) -> Transducer:
+def separate_drop_lift_moves(machine: Transducer) -> Transducer:
+    """Split every pebble-moving transition so head moves only happen under
+    nop.  Requires reversibility (which it preserves)."""
+    if not is_reversible(machine):
+        raise NotReversibleError(f"{machine.name} is not reversible")
+    return separate_ops_unchecked(machine)
+
+
+def separate_ops_unchecked(machine: Transducer) -> Transducer:
+    """Same splitting without the reversibility precondition; preserves
+    determinism but not necessarily reverse-determinism."""
+    if all(t.op.is_nop() for t in machine.transitions):
+        return machine
     polarity = dict(machine.polarity)
     transitions: list[Transition] = []
     for t in machine.transitions:
@@ -303,17 +315,3 @@ def _separate(machine: Transducer) -> Transducer:
         transitions.append(Transition(t.src, t.letter, t.test, t.op, mid, t.out))
         transitions.append(Transition(mid, t.letter, guard, NOP, t.dst))
     return machine.replace(polarity=polarity, transitions=tuple(transitions))
-
-
-def separate_drop_lift_moves(machine: Transducer) -> Transducer:
-    """Split every pebble-moving transition so head moves only happen under
-    nop.  Requires reversibility (which it preserves)."""
-    if not is_reversible(machine):
-        raise NotReversibleError(f"{machine.name} is not reversible")
-    return _separate(machine)
-
-
-def separate_ops_unchecked(machine: Transducer) -> Transducer:
-    """Same splitting without the reversibility precondition; preserves
-    determinism but not necessarily reverse-determinism."""
-    return _separate(machine)

@@ -36,7 +36,7 @@ from .core import (
     word_symbols,
 )
 from .runner import semantics
-from .transforms import separate_drop_lift_moves, separate_ops_unchecked
+from .transforms import Bits, Matrix, _bits_test, mat_ones, separate_ops_unchecked
 
 __all__ = [
     "build_config_enumerator",
@@ -59,9 +59,6 @@ __all__ = [
     "brute_force_hook",
 ]
 
-Bits = tuple[int, ...]
-Matrix = tuple[tuple[int, ...], ...]
-
 
 def _annot_bits(sym: Symbol, bv: Bits) -> Symbol:
     return Symbol(sym.base, (sym.bits or ()) + bv, sym.matrix)
@@ -69,10 +66,6 @@ def _annot_bits(sym: Symbol, bv: Bits) -> Symbol:
 
 def _annot_matrix(sym: Symbol, mat: Matrix) -> Symbol:
     return Symbol(sym.base, sym.bits, mat)
-
-
-def _bits_test(b: Bits) -> Test:
-    return Test.of(*(head_eq(i + 1, negated=not bit) for i, bit in enumerate(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +157,11 @@ def build_config_enumerator(k: int, sigma) -> Transducer:
 # C_k^=: annotate each copy with its pebble-equality matrix
 
 
+def _all_matrices(k: int) -> list[Matrix]:
+    """Every k×k 0/1 matrix: the 2^(k²) letter annotations."""
+    return [tuple(rows) for rows in product(product((0, 1), repeat=k), repeat=k)]
+
+
 def _mat_of_bits(b: Bits) -> Matrix:
     k = len(b)
     return tuple(tuple(b[i] & b[j] for j in range(k)) for i in range(k))
@@ -200,11 +198,8 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
         raise ValueError("the equality annotator needs k >= 1")
     sig = sorted(frozenset(word_symbols(sigma)))
     all_bits = list(product((0, 1), repeat=k))
-    matrices = [
-        tuple(tuple(row) for row in rows)
-        for rows in product(product((0, 1), repeat=k), repeat=k)
-    ]
-    m_ones = tuple(tuple(1 for _ in range(k)) for _ in range(k))
+    matrices = _all_matrices(k)
+    m_ones = mat_ones(k)
     p_i, p_f, reset = ("pi",), ("pf",), ("reset",)
     polarity: dict = {p_i: 0, p_f: 0, reset: 1}
     for m in matrices:
@@ -306,21 +301,11 @@ def decompose(machine: Transducer) -> Transducer:
     needs_split = any(
         not t.op.is_nop() and machine.pol(t.dst) != 0 for t in machine.transitions
     )
-    if needs_split:
-        m = (
-            separate_drop_lift_moves(machine)
-            if is_reversible(machine)
-            else separate_ops_unchecked(machine)
-        )
-    else:
-        m = machine
+    m = separate_ops_unchecked(machine) if needs_split else machine
     sig = sorted(m.input_alphabet) + [ENDMARKER]
     all_bits = list(product((0, 1), repeat=k))
-    matrices = [
-        tuple(tuple(row) for row in rows)
-        for rows in product(product((0, 1), repeat=k), repeat=k)
-    ]
-    m_ones = tuple(tuple(1 for _ in range(k)) for _ in range(k))
+    matrices = _all_matrices(k)
+    m_ones = mat_ones(k)
     p_i, p_f = ("pi",), ("pf",)
     polarity: dict = {p_i: 0, p_f: 0}
     mode_pol = {"s": 0, "mr": 1, "ml": -1}

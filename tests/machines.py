@@ -243,7 +243,8 @@ def equality_pair_probe(sigma: str = "ab") -> Transducer:
 def random_machine(rng: random.Random, max_states: int = 5, k: int = 2,
                    sigma: str = "ab") -> Transducer:
     """Random valid machine with equality tests, not necessarily
-    deterministic.  Used for differential testing of constructions."""
+    deterministic.  Used for differential testing of constructions.  With
+    k = 0 every guard is true and every operation nop."""
     sig = frozenset(Symbol(c) for c in sigma)
     n_mid = rng.randint(1, max_states)
     mids = [f"m{i}" for i in range(n_mid)]
@@ -256,6 +257,8 @@ def random_machine(rng: random.Random, max_states: int = 5, k: int = 2,
     gamma = sorted(sig)
 
     def random_test() -> Test:
+        if k == 0:
+            return TRUE
         atoms = []
         for _ in range(rng.randint(0, 2)):
             neg = rng.random() < 0.5
@@ -266,6 +269,8 @@ def random_machine(rng: random.Random, max_states: int = 5, k: int = 2,
         return Test.of(*atoms)
 
     def random_op():
+        if k == 0:
+            return NOP
         roll = rng.random()
         if roll < 0.5:
             return NOP

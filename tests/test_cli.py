@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from pebbletx import cli
 from pebbletx.builtins import modified_squaring, squaring
+from pebbletx.core import PebbleError
 from pebbletx.machinefile import (
     MachineFileError,
     _symbol_from_json,
@@ -15,6 +17,8 @@ from pebbletx.machinefile import (
     serialize,
 )
 from pebbletx.runner import semantics
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.fixture()
@@ -83,6 +87,70 @@ def test_parse_rejects_literal_hash():
 def test_parse_reports_syntax_position():
     with pytest.raises(MachineFileError, match="line"):
         parse("{ not json }")
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _delete(path):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+
+    return mutate
+
+
+# (mutation of corpus/squaring.ptx, fragment of the reported location)
+_MALFORMED = {
+    "states-not-a-list": (_set(["states"], {"q0": 0}), "states"),
+    "transitions-not-a-list": (_set(["transitions"], 3), "transitions"),
+    "input-alphabet-not-a-list": (_set(["input_alphabet"], "ab"), "input_alphabet"),
+    "missing-from": (_delete(["transitions", 0, "from"]), "transitions[0]"),
+    "missing-to": (_delete(["transitions", 0, "to"]), "transitions[0]"),
+    "bit-not-an-int": (_set(["output_alphabet", 1, "bits"], ["x"]), "output_alphabet[1].bits"),
+    "bits-not-a-list": (_set(["output_alphabet", 1, "bits"], 1), "output_alphabet[1].bits"),
+    "bit-out-of-range": (_set(["output_alphabet", 1, "bits"], [2]), "output_alphabet[1].bits"),
+    "matrix-not-a-list": (_set(["output_alphabet", 1, "matrix"], 1), "output_alphabet[1].matrix"),
+    "state-id-a-list": (_set(["states", 0, "id"], ["q0"]), "states[0]"),
+    "state-id-an-int": (_set(["states", 0, "id"], 0), "states[0]"),
+    "initial-a-list": (_set(["initial"], ["q0"]), "initial"),
+    "from-a-list": (_set(["transitions", 0, "from"], ["q0"]), "transitions[0].from"),
+    "output-not-a-list": (_set(["transitions", 0, "output"], 5), "transitions[0].output"),
+    "output-a-string": (_set(["transitions", 0, "output"], "a"), "transitions[0].output"),
+    "pebbles-a-bool": (_set(["pebbles"], True), "pebbles"),
+    "polarity-a-bool": (_set(["states", 1, "polarity"], True), "states[1]"),
+    "name-an-int": (_set(["name"], 7), "name"),
+    "equality-tests-not-a-bool": (_set(["equality_tests"], "no"), "equality_tests"),
+    "format-version-a-bool": (_set(["format_version"], True), "format_version"),
+    "atom-index-a-bool": (
+        _set(["transitions", 0, "test"], [{"kind": "head", "i": True}]), "transitions[0].test[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_file_is_a_located_error(case, tmp_path, capsys):
+    mutate, where = _MALFORMED[case]
+    doc = json.loads((CORPUS / "squaring.ptx").read_text(encoding="utf-8"))
+    mutate(doc)
+    text = json.dumps(doc)
+    with pytest.raises(PebbleError) as info:
+        parse(text)
+    assert isinstance(info.value, MachineFileError)
+    assert info.value.where == where
+    path = tmp_path / "bad.ptx"
+    path.write_text(text)
+    assert cli.main(["run", str(path), "--input", "ab"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_endmarker_serialized_as_null(squaring_file):

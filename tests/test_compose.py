@@ -1,6 +1,10 @@
-import pytest
+import random
 
-from machines import iterated_reverse_fn, words_upto
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from machines import iterated_reverse_fn, random_machine, words_upto
 from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible, validate
 from pebbletx.builtins import copier, iterated_reverse, squaring
 from pebbletx.compose import (
@@ -12,6 +16,7 @@ from pebbletx.compose import (
 )
 from pebbletx.core import (
     AlphabetMismatchError,
+    HasPebblesError,
     NOP,
     NotDeterministicError,
     NotReversibleError,
@@ -170,26 +175,26 @@ def test_general_state_bound(general_pair):
 
 def test_general_gadget_chain_lengths(general_pair):
     _, _, comp = general_pair
-    # drop gadget for z has exactly z chain states, lift gadget y_k + 1
+    # drop gadget for z has exactly z chain states, lift gadget y_k + 1;
+    # gadget states are (tag, q, q2, [z,] [ell,] *frames)
     drop_chains = {}
     lift_chains = {}
     for state in comp.polarity:
         if state[0] == "dropg":
-            *_, z, ell = state
-            key = tuple(state[1:-1])
-            drop_chains.setdefault(key, set()).add(ell)
+            _, q, q2, z, ell, *frames = state
+            drop_chains.setdefault((q, q2, z, tuple(frames)), set()).add(ell)
         elif state[0] == "liftg":
-            *_, ell = state
-            lift_chains.setdefault(tuple(state[1:-1]), set()).add(ell)
+            _, q, q2, ell, *frames = state
+            lift_chains.setdefault((q, q2, tuple(frames)), set()).add(ell)
         elif state[0] == "liftg0":
-            lift_chains.setdefault(tuple(state[1:]), set()).add(0)
+            _, q, q2, *frames = state
+            lift_chains.setdefault((q, q2, tuple(frames)), set()).add(0)
     assert drop_chains and lift_chains
-    for key, ells in drop_chains.items():
-        z = key[-1]
+    for (_, _, z, _), ells in drop_chains.items():
         assert ells == set(range(1, z + 1))
-    for key, ells in lift_chains.items():
-        ybar = key[3]
-        assert ells == set(range(0, ybar[-1] + 1))
+    for (_, _, frames), ells in lift_chains.items():
+        _, y_k = frames[-1]
+        assert ells == set(range(0, y_k + 1))
 
 
 def test_general_gadget_head_neutrality(general_pair):
@@ -287,6 +292,40 @@ def test_general_with_deterministic_nonreversible_second(sq, ident):
 
 
 # ---------------------------------------------------------------------------
+# Generated machines
+
+
+_WORDS = list(words_upto("ab", 4))
+
+
+def _generated(seed: int, k: int, wanted):
+    """The first random machine drawn from ``seed`` that satisfies ``wanted``
+    and accepts some word of length <= 4 (most random machines accept none,
+    and composing those checks nothing)."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        machine = random_machine(rng, k=k)
+        if wanted(machine) and any(semantics(machine, u) is not None for u in _WORDS):
+            return machine
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2**32), st.integers(0, 2))
+def test_compose_matches_chained_semantics_on_generated_machines(seed_f, n, seed_g, m):
+    first = _generated(seed_f, n, is_reversible)
+    second = _generated(seed_g, m, lambda machine: is_deterministic(machine)[0])
+    assume(first is not None and second is not None)
+    comp = compose(first, second)
+    assert comp.k == (n + 1) * (m + 1) - 1
+    assert is_deterministic(comp)[0]
+    if is_reversible(second):
+        assert is_reversible(comp)
+    for u in _WORDS:
+        assert semantics(comp, u) == _chained(first, second, u), u
+
+
+# ---------------------------------------------------------------------------
 # xi compilation
 
 
@@ -366,5 +405,31 @@ def test_drop_gadget_entry_selects_stack_size(general_pair):
     entries = [t for t, kind in kinds.items() if kind == "drop-a"]
     assert entries
     for t in entries:
-        z = t.dst[-2]
-        assert t.op == drop(sum(t.src[4]) + z)
+        z = t.dst[3]
+        d = sum(y for _, y in t.src[3:])
+        assert t.op == drop(d + z)
+
+
+@pytest.mark.parametrize("pair", ["modsq.itrev", "prefixes.itrev", "sq.copier"])
+def test_pebbleless_second_machine_layout(pair, modsq, prefixes, itrev, sq):
+    # m = 0: no segment is ever frozen, so every state is (tag, q, q2) and
+    # only the product's own transition kinds occur
+    first, second = {
+        "modsq.itrev": (modsq, iterated_reverse("bcd")),
+        "prefixes.itrev": (prefixes, itrev),
+        "sq.copier": (sq, copier(sorted(sq.output_alphabet))),
+    }[pair]
+    comp = compose(first, second)
+    assert comp.k == first.k
+    for state in comp.polarity:
+        assert len(state) == 3 and state[0] in ("sync", "sim"), state
+    assert set(comp.metadata["kinds"].values()) <= {
+        "tr-a", "tr-b", "tr-c", "sw-a", "sw-b", "mv-a", "mv-b"
+    }
+    # compose_simple is the same construction
+    assert compose_simple(first, second).transitions == comp.transitions
+
+
+def test_compose_simple_rejects_pebbles(sq):
+    with pytest.raises(HasPebblesError):
+        compose_simple(sq, squaring(sorted(sq.output_alphabet)))

@@ -1,0 +1,30 @@
+"""The scripts under scripts/ run in-process and agree with the corpus."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from pebbletx.machinefile import serialize
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["state_growth", "trace_composition"])
+def test_script_main_succeeds(name, capsys):
+    assert _script(name).main() == 0
+    assert capsys.readouterr().out
+
+
+def test_build_corpus_table_matches_corpus():
+    files = _script("build_corpus").FILES
+    assert len(files) == 8
+    for name, ctor in files.items():
+        assert (ROOT / "corpus" / name).read_text(encoding="utf-8") == serialize(ctor()), name
