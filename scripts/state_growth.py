@@ -3,6 +3,7 @@
 
 import pathlib
 import sys
+from math import comb
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -20,6 +21,14 @@ from pebbletx.uniformize import (  # noqa: E402
     build_equality_annotator,
     decompose,
 )
+
+
+def bell(n):
+    """B(n), the number of partitions of an n-element set."""
+    b = [1]
+    for m in range(n):
+        b.append(sum(comb(m, i) * b[i] for i in range(m + 1)))
+    return b[n]
 
 
 def row(label, actual, bound):
@@ -56,12 +65,12 @@ def main() -> int:
     print(f"  (pebbles: {general.k} = (n+1)(m+1)-1 with n={n}, m={m})")
 
     print("\ndecomposition parts:")
-    for k in (1, 2):
+    for k in (1, 2, 3):
         ck = build_config_enumerator(k, "ab")
         ckeq = build_equality_annotator(k, "ab")
         row(f"  config_enumerator k={k} (O(k))", len(ck.polarity), f"5k+1 = {5 * k + 1}")
-        row(f"  equality_annotator k={k} (O(2^(k^2)))", len(ckeq.polarity),
-            f"4*2^(k^2)+3 = {4 * 2 ** (k * k) + 3}")
+        row(f"  equality_annotator k={k} (O(B(k+1)))", len(ckeq.polarity),
+            f"2B(k+1)+2B(k)+3 = {2 * bell(k + 1) + 2 * bell(k) + 3}")
     t0 = decompose(sq)
     row("  simulator(squaring) (O(kn))", len(t0.polarity),
         f"6k(3n)+2 = {6 * sq.k * 3 * len(sq.polarity) + 2}")

@@ -157,9 +157,46 @@ def build_config_enumerator(k: int, sigma) -> Transducer:
 # C_k^=: annotate each copy with its pebble-equality matrix
 
 
-def _all_matrices(k: int) -> list[Matrix]:
-    """Every k×k 0/1 matrix: the 2^(k²) letter annotations."""
-    return [tuple(rows) for rows in product(product((0, 1), repeat=k), repeat=k)]
+def _equivalences(k: int) -> list[Matrix]:
+    """Every equivalence relation on a subset of the k pebbles, as a 0/1
+    matrix with M[i][i] = 1 iff pebble i is in the subset: the B(k+1)
+    matrices a compute or undo pass can hold.  A relation is *total* when
+    its diagonal is full; B(k) of them are."""
+    # label 0 puts a pebble outside the subset; equal labels share a class
+    return sorted({
+        tuple(tuple(int(0 != c == d) for d in labels) for c in labels)
+        for labels in product(range(k + 1), repeat=k)
+    })
+
+
+def _is_total(mat: Matrix) -> bool:
+    return all(mat[i][i] for i in range(len(mat)))
+
+
+def _empty_or_class(b: Bits, mat: Matrix) -> bool:
+    """b marks no pebble or exactly one class of the equivalence ``mat``
+    (the nonzero rows of an equivalence matrix are its classes)."""
+    return not any(b) or b in mat
+
+
+def _realizable(k: int) -> list[tuple[Bits, Matrix]]:
+    """The (bits, matrix) pairs a letter of an annotated C_k output can
+    carry: the copy's total equivalence, and the bits of one position,
+    which mark no pebble or one class.  There are B(k+1) of them."""
+    return [
+        (b, mat)
+        for mat in _equivalences(k)
+        if _is_total(mat)
+        for b in product((0, 1), repeat=k)
+        if _empty_or_class(b, mat)
+    ]
+
+
+def _realizable_letters(sig, pairs) -> frozenset:
+    """C_k^='s output alphabet, which is T_0's input alphabet."""
+    return frozenset(
+        _annot_matrix(_annot_bits(sym, b), mat) for sym in sig for b, mat in pairs
+    )
 
 
 def _mat_of_bits(b: Bits) -> Matrix:
@@ -169,10 +206,6 @@ def _mat_of_bits(b: Bits) -> Matrix:
 
 def _mat_disjoint(m1: Matrix, m2: Matrix) -> bool:
     return all(not (a & b) for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2))
-
-
-def _mat_leq(m1: Matrix, m2: Matrix) -> bool:
-    return all(a <= b for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2))
 
 
 def _mat_or(m1: Matrix, m2: Matrix) -> Matrix:
@@ -189,24 +222,34 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
 
     Per copy it runs compute / left / write / undo / reset passes; the undo
     pass makes the writing reversible.  Matrix updates in the compute pass
-    add disjoint contributions only (and remove contained ones while
+    add disjoint contributions only (and remove whole classes while
     undoing), which is what reverse-determinism needs and what every valid
     enumerator output satisfies, since each pebble marks one position per
     copy.
+
+    Only realizable annotations are built: the compute and undo passes
+    range over the B(k+1) equivalence relations on subsets of the pebbles,
+    the left and write passes over the B(k) total ones, and the letters of
+    the copy being written must carry bits that mark no pebble or one
+    class.  That gives 2*B(k+1) + 2*B(k) + 3 states (9, 17, 43, 137 for
+    k = 1..4) instead of 4*2^(k^2) + 3, and an output alphabet of B(k+1)
+    annotations per letter.
     """
     if k < 1:
         raise ValueError("the equality annotator needs k >= 1")
     sig = sorted(frozenset(word_symbols(sigma)))
     all_bits = list(product((0, 1), repeat=k))
-    matrices = _all_matrices(k)
+    relations = _equivalences(k)
+    pairs = _realizable(k)
     m_ones = mat_ones(k)
     p_i, p_f, reset = ("pi",), ("pf",), ("reset",)
     polarity: dict = {p_i: 0, p_f: 0, reset: 1}
-    for m in matrices:
+    for m in relations:
         polarity[(m, "c")] = 1
-        polarity[(m, "w")] = 1
-        polarity[(m, "l")] = -1
         polarity[(m, "u")] = -1
+        if _is_total(m):
+            polarity[(m, "w")] = 1
+            polarity[(m, "l")] = -1
     letters = {
         (a, b): _annot_bits(a, b) for a in sig + [ENDMARKER] for b in all_bits
     }
@@ -220,7 +263,7 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
             ts.append(Transition(reset, letters[a, b], TRUE, NOP, reset))
         ts.append(Transition(reset, letters[ENDMARKER, b], TRUE, NOP, (mb, "c")))
         ts.append(Transition((mb, "u"), letters[ENDMARKER, b], TRUE, NOP, reset))
-    for m in matrices:
+    for m in relations:
         for b in all_bits:
             mb = _mat_of_bits(b)
             for a in sig:
@@ -228,33 +271,33 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
                     ts.append(
                         Transition((m, "c"), letters[a, b], TRUE, NOP, (_mat_or(m, mb), "c"))
                     )
-                if _mat_leq(mb, m):
+                if _empty_or_class(b, m):
                     ts.append(
                         Transition((m, "u"), letters[a, b], TRUE, NOP, (_mat_minus(m, mb), "u"))
                     )
-                ts.append(Transition((m, "l"), letters[a, b], TRUE, NOP, (m, "l")))
-                ts.append(
-                    Transition(
-                        (m, "w"), letters[a, b], TRUE, NOP, (m, "w"),
-                        (_annot_matrix(letters[a, b], m),),
-                    )
-                )
-            sharp = letters[ENDMARKER, b]
-            ts.append(Transition((m, "c"), sharp, TRUE, NOP, (m, "l")))
+            if _is_total(m):
+                # these read the next copy's '#', whose bits are unrelated to m
+                sharp = letters[ENDMARKER, b]
+                ts.append(Transition((m, "c"), sharp, TRUE, NOP, (m, "l")))
+                ts.append(Transition((m, "w"), sharp, TRUE, NOP, (m, "u")))
+    for b, m in pairs:
+        for a in sig:
+            letter = letters[a, b]
+            ts.append(Transition((m, "l"), letter, TRUE, NOP, (m, "l")))
             ts.append(
-                Transition((m, "l"), sharp, TRUE, NOP, (m, "w"), (_annot_matrix(sharp, m),))
+                Transition((m, "w"), letter, TRUE, NOP, (m, "w"), (_annot_matrix(letter, m),))
             )
-            ts.append(Transition((m, "w"), sharp, TRUE, NOP, (m, "u")))
+        sharp = letters[ENDMARKER, b]
+        ts.append(
+            Transition((m, "l"), sharp, TRUE, NOP, (m, "w"), (_annot_matrix(sharp, m),))
+        )
     ts.append(Transition((m_ones, "c"), ENDMARKER, TRUE, NOP, (m_ones, "l")))
     ts.append(Transition((m_ones, "w"), ENDMARKER, TRUE, NOP, p_f))
-    gamma = frozenset(
-        _annot_matrix(sym, m) for sym in letters.values() for m in matrices
-    )
     return Transducer(
         name=f"equality_annotator_{k}",
         k=0,
         input_alphabet=frozenset(letters.values()),
-        output_alphabet=gamma,
+        output_alphabet=_realizable_letters(sig + [ENDMARKER], pairs),
         polarity=polarity,
         initial=p_i,
         final=p_f,
@@ -293,7 +336,8 @@ def decompose(machine: Transducer) -> Transducer:
     pebbles sit on the head).  Head moves become scans to the neighbouring
     copy, using the lexicographic ordering of the markings; transitions that
     drop or lift are assumed not to move the head, which ``decompose``
-    enforces by splitting them first.
+    enforces by splitting them first.  Only letters that C_k^= can write
+    are read, so T_0's input alphabet is exactly C_k^='s output alphabet.
     """
     k = machine.k
     if k < 1:
@@ -303,8 +347,7 @@ def decompose(machine: Transducer) -> Transducer:
     )
     m = separate_ops_unchecked(machine) if needs_split else machine
     sig = sorted(m.input_alphabet) + [ENDMARKER]
-    all_bits = list(product((0, 1), repeat=k))
-    matrices = _all_matrices(k)
+    pairs = _realizable(k)
     m_ones = mat_ones(k)
     p_i, p_f = ("pi",), ("pf",)
     polarity: dict = {p_i: 0, p_f: 0}
@@ -337,58 +380,37 @@ def decompose(machine: Transducer) -> Transducer:
                 mode = "ml"
             else:
                 mode = "mr"
-            for b in all_bits:
+            for b, mat in pairs:
                 if not _upper_marked(b, i):
                     continue
                 if t.op.kind == "lift" and b[i - 1] != 1:
                     continue
-                for mat in matrices:
-                    if not _bits_sat(t.test, b, mat, i):
-                        continue
-                    letter = _annot_matrix(_annot_bits(t.letter, b), mat)
-                    ts.append(
-                        Transition((t.src, i, "s"), letter, TRUE, NOP, (t.dst, i2, mode), t.out)
-                    )
-    # head-move scans
+                if not _bits_sat(t.test, b, mat, i):
+                    continue
+                letter = _annot_matrix(_annot_bits(t.letter, b), mat)
+                ts.append(
+                    Transition((t.src, i, "s"), letter, TRUE, NOP, (t.dst, i2, mode), t.out)
+                )
+    # head-move scans; both directions treat '#' alike, and off '#' the scan
+    # in the machine's direction stops at the copy whose upper pebbles sit
+    # on the head while the opposite scan passes over
     for q in m.states:
         pol = m.pol(q)
         if pol == 0:
             continue
         for i in range(k + 1):
             ml, mr, ss = (q, i, "ml"), (q, i, "mr"), (q, i, "s")
+            scan, other = (ml, mr) if pol < 0 else (mr, ml)
             for sym in sig:
-                for b in all_bits:
+                for b, mat in pairs:
                     upper = _upper_marked(b, i)
-                    for mat in matrices:
-                        letter = _annot_matrix(_annot_bits(sym, b), mat)
-                        if pol < 0:
-                            if upper:
-                                ts.append(Transition(ml, letter, TRUE, NOP, ss))
-                            else:
-                                ts.append(Transition(ml, letter, TRUE, NOP, ml))
-                            if sym.is_endmarker():
-                                if upper:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, ml))
-                                else:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, mr))
-                            else:
-                                ts.append(Transition(mr, letter, TRUE, NOP, mr))
-                        else:
-                            if sym.is_endmarker():
-                                if upper:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, ml))
-                                else:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, mr))
-                                if upper:
-                                    ts.append(Transition(ml, letter, TRUE, NOP, ss))
-                                else:
-                                    ts.append(Transition(ml, letter, TRUE, NOP, ml))
-                            else:
-                                if upper:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, ss))
-                                else:
-                                    ts.append(Transition(mr, letter, TRUE, NOP, mr))
-                                ts.append(Transition(ml, letter, TRUE, NOP, ml))
+                    letter = _annot_matrix(_annot_bits(sym, b), mat)
+                    if sym.is_endmarker():
+                        ts.append(Transition(mr, letter, TRUE, NOP, ml if upper else mr))
+                        ts.append(Transition(ml, letter, TRUE, NOP, ss if upper else ml))
+                    else:
+                        ts.append(Transition(scan, letter, TRUE, NOP, ss if upper else scan))
+                        ts.append(Transition(other, letter, TRUE, NOP, other))
             ts.append(Transition(mr, ENDMARKER, TRUE, NOP, ml))
     # prune states unreachable in the transition graph
     adj: dict = {}
@@ -404,16 +426,10 @@ def decompose(machine: Transducer) -> Transducer:
                 queue.append(t.dst)
     ts = [t for t in ts if t.src in reached and t.dst in reached]
     polarity = {s: p for s, p in polarity.items() if s in reached}
-    alphabet = frozenset(
-        _annot_matrix(_annot_bits(sym, b), mat)
-        for sym in sig
-        for b in all_bits
-        for mat in matrices
-    ) - {ENDMARKER}
     return Transducer(
         name=f"simulator({machine.name})",
         k=0,
-        input_alphabet=alphabet,
+        input_alphabet=_realizable_letters(sig, pairs),
         output_alphabet=machine.output_alphabet,
         polarity=polarity,
         initial=p_i,

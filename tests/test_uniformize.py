@@ -1,13 +1,19 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from machines import (
     config_markings_fn,
     drop_two_then_copy_rest,
     drop_two_then_copy_rest_fn,
     pick_any_letter,
+    random_machine,
     words_upto,
 )
 from pebbletx.analysis import is_deterministic, is_reversible, validate
+from pebbletx.builtins import squaring
 from pebbletx.compose import compose
 from pebbletx.core import HookRequiredError
 from pebbletx.runner import enumerate_runs, run, semantics
@@ -119,12 +125,54 @@ def test_annotator_preserves_sequence():
                 assert sym.matrix == want
 
 
+BELL = (1, 1, 2, 5, 15, 52)
+
+
 def test_annotator_reversible():
-    for k in (1, 2):
+    for k in (1, 2, 3, 4):
         ckeq = build_equality_annotator(k, "ab")
         assert validate(ckeq) == []
         assert is_reversible(ckeq), k
         assert ckeq.k == 0
+        # compute/undo over equivalences on pebble subsets, left/write over
+        # total equivalences, plus pi, pf and reset
+        assert len(ckeq.polarity) == 2 * BELL[k + 1] + 2 * BELL[k] + 3, k
+
+
+def _is_total_equivalence(mat) -> bool:
+    k = len(mat)
+    pebbles = range(k)
+    return (
+        all(mat[i][i] == 1 for i in pebbles)
+        and all(mat[i][j] == mat[j][i] for i in pebbles for j in pebbles)
+        and all(
+            mat[i][m] == 1
+            for i in pebbles for j in pebbles for m in pebbles
+            if mat[i][j] == 1 and mat[j][m] == 1
+        )
+    )
+
+
+def _sq_sq():
+    sq = squaring("ab")
+    return compose(sq, squaring(sorted(sq.output_alphabet)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_annotator_alphabet_is_realizable_and_read_by_simulator(k, sq):
+    machine = {1: sq, 2: drop_two_then_copy_rest(), 3: _sq_sq()}[k]
+    assert machine.k == k
+    ckeq = build_equality_annotator(k, "ab")
+    assert ckeq.output_alphabet == decompose(machine).input_alphabet
+    # a, b and '#', each with B(k+1) (bits, matrix) pairs
+    assert len(ckeq.output_alphabet) == 3 * BELL[k + 1]
+    for sym in ckeq.output_alphabet:
+        mat, bits = sym.matrix, sym.bits
+        assert _is_total_equivalence(mat), sym
+        marked = {i for i in range(k) if bits[i]}
+        assert not marked or any(
+            marked == {j for j in range(k) if mat[i][j]} for i in marked
+        ), sym
 
 
 def test_annotator_final_only_via_full_matrix():
@@ -155,9 +203,15 @@ def test_annotator_reset_entry_restricted_to_letter_matrix():
 @pytest.mark.parametrize("maker,oracle,k", [
     ("squaring", None, 1),
     ("fixture", drop_two_then_copy_rest_fn, 2),
+    ("squaring.squaring", None, 3),
 ])
 def test_decomposition_identity(maker, oracle, k, sq):
-    machine = sq if maker == "squaring" else drop_two_then_copy_rest()
+    machine = {
+        "squaring": lambda: sq,
+        "fixture": drop_two_then_copy_rest,
+        "squaring.squaring": _sq_sq,
+    }[maker]()
+    assert machine.k == k
     ck = build_config_enumerator(k, "ab")
     ckeq = build_equality_annotator(k, "ab")
     t0 = decompose(machine)
@@ -202,6 +256,45 @@ def test_decompose_nondeterministic_relation_preserved():
         got = enumerate_runs(t0, w2, budget=4000)
         want = enumerate_runs(nd, u)
         assert got.outputs == want.outputs, u
+
+
+_WORDS = list(words_upto("ab", 3))
+
+
+def _deterministic_draw(seed: int, k: int):
+    """The first deterministic random machine drawn from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        machine = random_machine(rng, k=k)
+        if is_deterministic(machine)[0]:
+            return machine
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2))
+def test_decompose_matches_machine_on_generated_machines(seed, k):
+    machine = _deterministic_draw(seed, k)
+    assume(machine is not None)
+    ck = build_config_enumerator(k, "ab")
+    ckeq = build_equality_annotator(k, "ab")
+    t0 = decompose(machine)
+    assert is_deterministic(t0)[0]
+    for u in _WORDS:
+        assert semantics(t0, semantics(ckeq, semantics(ck, u))) == semantics(machine, u), u
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2))
+def test_uniformize_pipeline_on_generated_machines(seed, k):
+    machine = _deterministic_draw(seed, k)
+    assume(machine is not None)
+    want = [semantics(machine, u) for u in _WORDS]
+    # most draws accept nothing, and those check only rejection
+    assume(any(out is not None for out in want))
+    result = uniformize_pipeline(machine)
+    assert result.pebbles == k
+    assert [result.apply(u) for u in _WORDS] == want
 
 
 def test_pipeline_through_compose(sq):
