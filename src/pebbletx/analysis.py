@@ -1,11 +1,11 @@
 """Syntactic well-formedness, determinism and reversibility checks.
 
-Determinism is decided syntactically: two distinct transitions from the same
-state reading the same letter conflict iff the conjunction of their tests
-and operation-tests is satisfiable.  Reverse-determinism reverses each
-transition first and runs the same check on pairs sharing (target, letter).
-The syntactic checks quantify over all configurations, including unreachable
-ones, so syntactic-true implies the semantic property on every word.
+Determinism and reverse-determinism are one syntactic check run in two
+directions: two distinct transitions sharing (source, letter) conflict iff
+the conjunction of their ``core.guard``s is satisfiable, and two sharing
+(target, letter) iff that of their ``core.reverse_guard``s is.  The checks
+quantify over all configurations, including unreachable ones, so
+syntactic-true implies the semantic property on every word.
 """
 
 from __future__ import annotations
@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import (
-    Test,
-    Transducer,
-    Transition,
-    reverse_op,
-    satisfiable,
-    test_of_op,
-)
-from ._optests import reverse_test_under_op
+from .core import Test, Transducer, Transition, guard, reverse_guard, satisfiable
 
 
 @dataclass(frozen=True)
@@ -97,47 +89,36 @@ def validate(machine: Transducer) -> list[Violation]:
     return v
 
 
-def _forward_conflict(machine: Transducer, t1: Transition, t2: Transition) -> Optional[Test]:
-    joint = (
-        t1.test.conjoin(test_of_op(t1.op, machine.k))
-        .conjoin(t2.test)
-        .conjoin(test_of_op(t2.op, machine.k))
-    )
-    return joint if satisfiable(joint, machine.k) else None
+def _first_conflict(
+    machine: Transducer, end: str, guard_of, direction: str
+) -> tuple[bool, Optional[ConflictWitness]]:
+    """Group transitions by (``end`` state, letter) and return the first
+    pair in a group whose ``guard_of`` guards are jointly satisfiable."""
+    k = machine.k
+    groups: dict = {}
+    for t in machine.transitions:
+        groups.setdefault((getattr(t, end), t.letter), []).append(t)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        guards = [guard_of(t, k) for t in group]
+        for (t1, g1), (t2, g2) in combinations(zip(group, guards), 2):
+            joint = g1.conjoin(g2)
+            if satisfiable(joint, k):
+                return False, ConflictWitness(t1, t2, direction, joint)
+    return True, None
 
 
 def is_deterministic(machine: Transducer) -> tuple[bool, Optional[ConflictWitness]]:
     """No two distinct transitions with the same (source, letter) can be
     simultaneously enabled."""
-    groups: dict = {}
-    for t in machine.transitions:
-        groups.setdefault((t.src, t.letter), []).append(t)
-    for group in groups.values():
-        for t1, t2 in combinations(group, 2):
-            joint = _forward_conflict(machine, t1, t2)
-            if joint is not None:
-                return False, ConflictWitness(t1, t2, "forward", joint)
-    return True, None
-
-
-def _reversed_guard(machine: Transducer, t: Transition) -> Test:
-    return reverse_test_under_op(t.op, t.test).conjoin(
-        test_of_op(reverse_op(t.op), machine.k)
-    )
+    return _first_conflict(machine, "src", guard, "forward")
 
 
 def is_reverse_deterministic(machine: Transducer) -> tuple[bool, Optional[ConflictWitness]]:
     """No two distinct transitions with the same (target, letter) can be
     simultaneously reverse-enabled."""
-    groups: dict = {}
-    for t in machine.transitions:
-        groups.setdefault((t.dst, t.letter), []).append(t)
-    for group in groups.values():
-        for t1, t2 in combinations(group, 2):
-            joint = _reversed_guard(machine, t1).conjoin(_reversed_guard(machine, t2))
-            if satisfiable(joint, machine.k):
-                return False, ConflictWitness(t1, t2, "backward", joint)
-    return True, None
+    return _first_conflict(machine, "dst", reverse_guard, "backward")
 
 
 def is_reversible(machine: Transducer) -> bool:

@@ -27,7 +27,6 @@ and gadget chains are pruned as constructed.
 from __future__ import annotations
 
 from collections import deque
-from ._optests import reverse_test_under_op
 from .analysis import is_deterministic, is_reversible
 from .core import (
     ENDMARKER,
@@ -43,10 +42,13 @@ from .core import (
     Transducer,
     Transition,
     drop,
+    guard,
     head_eq,
     lift,
     peb_eq,
+    reverse_guard,
     reverse_op,
+    reverse_test_under_op,
     satisfiable,
     test_of_op,
 )
@@ -236,11 +238,11 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             if kind == "base":
                 found = _xi_base(d, t.test, t.op, n, r)
             elif kind == "fwd":
-                guard = t.test.conjoin(test_of_op(t.op, n)) if t.out else t.test
-                found = (guard.shifted(d, r), NOP if t.out else t.op.shifted(d, r))
+                test = guard(t, n) if t.out else t.test
+                found = (test.shifted(d, r), NOP if t.out else t.op.shifted(d, r))
             else:
-                guard = reverse_test_under_op(t.op, t.test)
-                found = (guard.shifted(d, r), reverse_op(t.op).shifted(d, r))
+                test = reverse_test_under_op(t.op, t.test)
+                found = (test.shifted(d, r), reverse_op(t.op).shifted(d, r))
             memo[key] = found
         return found
 
@@ -286,7 +288,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             if not t.out:
                 continue
             for t2 in sn.from_state_letter(q2, t.out[0]):
-                psi = t2.test.conjoin(test_of_op(t2.op, m))
+                psi = guard(t2, m)
                 if t2.op.is_nop():
                     p2 = sn.pol(t2.dst)
                     for test in xi(t, q, xbar, ybar, psi):
@@ -303,9 +305,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                     if t2.op.index != k or k == 0 or xbar[-1] != q:
                         continue
                     target = ("sync", q, t2.dst) + frames[:-1]
-                    exit_psi = reverse_test_under_op(t2.op, t2.test).conjoin(
-                        test_of_op(reverse_op(t2.op), m)
-                    )
+                    exit_psi = reverse_guard(t2, m)
                     # Pin the exact stack size after popping the segment:
                     # without it, exits of gadgets with different segment
                     # lengths into the same sync state would be jointly
@@ -324,9 +324,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                 else:  # drop
                     if t2.op.index != k + 1 or t2.op.index > m:
                         continue
-                    exit_psi = reverse_test_under_op(t2.op, t2.test).conjoin(
-                        test_of_op(reverse_op(t2.op), m)
-                    )
+                    exit_psi = reverse_guard(t2, m)
                     entry_tests = xi(t, q, xbar, ybar, psi)
                     for z in range(1, n + 2):
                         target = ("sync", q, t2.dst) + frames + ((q, z),)

@@ -5,6 +5,10 @@ endmarker ``#``) with a stack of up to ``k`` pebbles.  Guards are
 conjunctions of (negated) atoms comparing the head with a pebble or two
 pebbles with each other.  Everything in this module is an immutable value;
 all operations are pure functions.
+
+``guard`` and ``reverse_guard`` are the one definition of when a
+transition can fire and when it can be undone; the runner, the analysis
+checks and every construction build on them.
 """
 
 from __future__ import annotations
@@ -177,19 +181,11 @@ class Test:
             return self
         return Test.of(*(self.atoms + other.atoms))
 
-    def with_atoms(self, extra: Iterable[Atom]) -> "Test":
-        if self.false:
-            return FALSE
-        return Test.of(*(self.atoms + tuple(extra)))
-
     def shifted(self, d: int, k: Optional[int] = None) -> "Test":
         return shift_test(self, d, k)
 
     def max_index(self) -> int:
         return max((a.max_index() for a in self.atoms), default=0)
-
-    def is_true(self) -> bool:
-        return not self.false and not self.atoms
 
     def render(self) -> str:
         if self.false:
@@ -275,6 +271,53 @@ def test_of_op(op: PebbleOp, k: int) -> Test:
         atoms.append(head_eq(i))
         if i < k:
             atoms.append(peb_eq(i + 1, i + 1, negated=True))
+    return Test.of(*atoms)
+
+
+# an atom image under an op is True (drop the literal), False, or an atom
+_Image = Union[bool, Atom]
+
+
+def _image(op: PebbleOp, a: Atom) -> _Image:
+    if op.is_nop():
+        return Atom(a.kind, a.i, a.j, False)
+    ell = op.index
+    if op.kind == "drop":
+        if a.kind == "h":
+            return head_eq(a.i) if a.i < ell else False
+        return peb_eq(a.i, a.j) if a.j < ell else False
+    # lift
+    if a.kind == "h":
+        if a.i < ell:
+            return head_eq(a.i)
+        return True if a.i == ell else False
+    i, j = a.i, a.j
+    if j < ell:
+        return peb_eq(i, j)
+    if i == j == ell:
+        return True
+    if i < j == ell:
+        return head_eq(i)
+    return False
+
+
+def reverse_test_under_op(op: PebbleOp, t: Test) -> Test:
+    """The test op(t): ``peb, h |= t`` iff ``op(peb, h), h |= op(t)``
+    whenever op(peb, h) is defined.
+
+    Homomorphic over conjunction and negation; see the case table.
+    """
+    if t.false:
+        return FALSE
+    atoms: list[Atom] = []
+    for a in t.atoms:
+        img = _image(op, a)
+        if isinstance(img, bool):
+            value = img != a.negated
+            if not value:
+                return FALSE
+            continue  # literal is identically true, drop it
+        atoms.append(img.negate() if a.negated else img)
     return Test.of(*atoms)
 
 
@@ -409,6 +452,17 @@ class Transition:
             f"{self.src} --{self.letter.render()},{self.test.render()},"
             f"{self.op.render()}--> {self.dst} | {out}"
         )
+
+
+def guard(t: Transition, k: int) -> Test:
+    """When ``t`` can fire: its test holds and its operation is executable."""
+    return t.test.conjoin(test_of_op(t.op, k))
+
+
+def reverse_guard(t: Transition, k: int) -> Test:
+    """When ``t`` can be undone: the guard of the reversed transition, read
+    on the configuration ``t`` produced (at the head position it read)."""
+    return reverse_test_under_op(t.op, t.test).conjoin(test_of_op(reverse_op(t.op), k))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .core import (
     WordError,
     apply_op,
     eval_test,
+    guard,
     letter_at,
     op_enabled,
     reverse_op,
@@ -173,35 +174,21 @@ class _Node:
         self.buckets: dict[int, tuple] = {}
 
 
-def _guard(t: Transition) -> tuple:
-    """``t``'s test and the enabledness of its op as one conjunction of
-    ``(is_head, i, j, negated)`` atoms over 0-based pebble indices.
-
-    ``j`` is the deepest pebble the atom reads, so a head atom repeats ``i``.
-    ``drop(i)`` needs pebble i-1 on the stack and pebble i off it;
-    ``lift(i)`` needs pebble i on the head and pebble i+1 off the stack.
-    Together these say the stack height is exactly i-1, resp. i, as
-    ``core.op_enabled`` asks.
-    """
-    atoms = [
+def _guard(t: Transition, k: int) -> tuple:
+    """``core.guard(t, k)`` as a tuple of ``(is_head, i, j, negated)`` atoms
+    over 0-based pebble indices; ``j`` is the deepest pebble the atom
+    reads, so a head atom repeats ``i``."""
+    return tuple(
         (a.kind == "h", a.i - 1, (a.i if a.kind == "h" else a.j) - 1, a.negated)
-        for a in t.test.atoms
-    ]
-    i = t.op.index
-    if t.op.kind == "drop":
-        if i > 1:
-            atoms.append((False, i - 2, i - 2, False))
-        atoms.append((False, i - 1, i - 1, True))
-    elif t.op.kind == "lift":
-        atoms += [(True, i - 1, i - 1, False), (False, i, i, True)]
-    return tuple(atoms)
+        for a in guard(t, k).atoms
+    )
 
 
-def _holds(guard: tuple, peb: tuple[int, ...], head: int) -> bool:
+def _holds(atoms: tuple, peb: tuple[int, ...], head: int) -> bool:
     """``core.eval_test`` on a flattened guard: an atom reading a pebble
     above the stack is false, its negation true."""
     d = len(peb)
-    for is_head, i, j, negated in guard:
+    for is_head, i, j, negated in atoms:
         if (j < d and peb[i] == (head if is_head else peb[j])) == negated:
             return False
     return True
@@ -262,7 +249,7 @@ class _RunTable:
                 m = self.machine
                 bucket = node.buckets[lid] = tuple(
                     (
-                        _guard(t),
+                        _guard(t, m.k),
                         _OP_KINDS[t.op.kind],
                         self._node(t.dst, m.pol(t.dst)),
                         t.out,
@@ -388,8 +375,8 @@ def enumerate_runs(
             bucket = node.buckets.get(lids[head])
             if bucket is None:
                 bucket = table.bucket(node, lids[head])
-            for guard, kind, dst, t_out, _ in bucket:
-                if guard and not _holds(guard, peb, head):
+            for atoms, kind, dst, t_out, _ in bucket:
+                if atoms and not _holds(atoms, peb, head):
                     continue
                 if kind == _DROP:
                     new = peb + (head,)

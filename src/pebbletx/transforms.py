@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from ._optests import reverse_test_under_op
 from .core import (
     ENDMARKER,
     NOP,
@@ -20,9 +19,11 @@ from .core import (
     TRUE,
     Transducer,
     Transition,
+    guard,
     head_eq,
+    reverse_guard,
     reverse_op,
-    test_of_op,
+    reverse_test_under_op,
 )
 from .analysis import is_reversible
 
@@ -134,15 +135,16 @@ def basic_consistent(alpha: Matrix, b: Bits) -> bool:
     return True
 
 
-def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits) -> bool:
-    """alpha, b |= phi (head atoms read bits, equality atoms read alpha)."""
+def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> bool:
+    """alpha, b |= phi (head atoms read bits, equality atoms read alpha),
+    counting only the first ``dropped`` pebbles as on the stack."""
     if test.false:
         return False
     for a in test.atoms:
         if a.kind == "h":
-            value = b[a.i - 1] == 1
+            value = a.i <= dropped and b[a.i - 1] == 1
         else:
-            value = alpha[a.i - 1][a.j - 1] == 1
+            value = a.j <= dropped and alpha[a.i - 1][a.j - 1] == 1
         if value == a.negated:
             return False
     return True
@@ -208,7 +210,7 @@ def eliminate_equality(machine: Transducer) -> Transducer:
             for b in all_bits:
                 if not basic_consistent(alpha, b):
                     continue
-                if not bits_matrix_satisfy(t.test, alpha, b):
+                if not bits_matrix_satisfy(t.test, alpha, b, k):
                     continue
                 if not op_allowed_by_bits(t.op, alpha, b):
                     continue
@@ -254,12 +256,12 @@ def split_outputs(machine: Transducer) -> Transducer:
         if len(t.out) <= 1:
             transitions.append(t)
             continue
-        guard = t.test.conjoin(test_of_op(t.op, machine.k))
+        enabled = guard(t, machine.k)
         prev = t.src
         for i, sym in enumerate(t.out[:-1]):
             chain = ("emit", t.src, t.out[: i + 1])
             polarity.setdefault(chain, 0)
-            transitions.append(Transition(prev, t.letter, guard, NOP, chain, (sym,)))
+            transitions.append(Transition(prev, t.letter, enabled, NOP, chain, (sym,)))
             prev = chain
         transitions.append(Transition(prev, t.letter, t.test, t.op, t.dst, (t.out[-1],)))
     return machine.replace(polarity=polarity, transitions=tuple(transitions))
@@ -309,9 +311,6 @@ def separate_ops_unchecked(machine: Transducer) -> Transducer:
             continue
         mid = ("held", t.src, t.op)
         polarity.setdefault(mid, 0)
-        guard = reverse_test_under_op(t.op, t.test).conjoin(
-            test_of_op(reverse_op(t.op), machine.k)
-        )
         transitions.append(Transition(t.src, t.letter, t.test, t.op, mid, t.out))
-        transitions.append(Transition(mid, t.letter, guard, NOP, t.dst))
+        transitions.append(Transition(mid, t.letter, reverse_guard(t, machine.k), NOP, t.dst))
     return machine.replace(polarity=polarity, transitions=tuple(transitions))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
 
-from .analysis import is_deterministic, is_reversible
+from .analysis import is_deterministic, is_reverse_deterministic, is_reversible
 from .compose import compose
 from .core import (
     ENDMARKER,
@@ -36,7 +36,14 @@ from .core import (
     word_symbols,
 )
 from .runner import semantics
-from .transforms import Bits, Matrix, _bits_test, mat_ones, separate_ops_unchecked
+from .transforms import (
+    Bits,
+    Matrix,
+    _bits_test,
+    bits_matrix_satisfy,
+    mat_ones,
+    separate_ops_unchecked,
+)
 
 __all__ = [
     "build_config_enumerator",
@@ -309,20 +316,6 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
 # T_0: pebbleless simulator over the annotated configuration sequence
 
 
-def _bits_sat(test: Test, b: Bits, mat: Matrix, dropped: int) -> bool:
-    """b, M, i |= phi with only the first ``dropped`` pebbles counted."""
-    if test.false:
-        return False
-    for a in test.atoms:
-        if a.kind == "h":
-            value = a.i <= dropped and b[a.i - 1] == 1
-        else:
-            value = a.i <= dropped and a.j <= dropped and mat[a.i - 1][a.j - 1] == 1
-        if value == a.negated:
-            return False
-    return True
-
-
 def _upper_marked(b: Bits, dropped: int) -> bool:
     """b^{+i}: all pebbles above ``dropped`` sit on this position."""
     return all(bit == 1 for bit in b[dropped:])
@@ -385,7 +378,7 @@ def decompose(machine: Transducer) -> Transducer:
                     continue
                 if t.op.kind == "lift" and b[i - 1] != 1:
                     continue
-                if not _bits_sat(t.test, b, mat, i):
+                if not bits_matrix_satisfy(t.test, mat, b, i):
                     continue
                 letter = _annot_matrix(_annot_bits(t.letter, b), mat)
                 ts.append(
@@ -808,7 +801,6 @@ def uniformize_pipeline(machine: Transducer, hook=None) -> UniformizeResult:
         enumerator = build_config_enumerator(k, machine.input_alphabet)
         annotator = build_equality_annotator(k, machine.input_alphabet)
         simulator = decompose(machine)
-    det0 = is_deterministic(simulator)[0]
 
     def chain(hooked_fn):
         def apply(u):
@@ -834,12 +826,12 @@ def uniformize_pipeline(machine: Transducer, hook=None) -> UniformizeResult:
             notes=f"function-level hook {hook.name}; " + _EXCLUSION_NOTE,
         )
     if hook is None or hook == "identity":
-        if not det0:
+        if not is_deterministic(simulator)[0]:
             raise HookRequiredError(
                 "the pebbleless simulator is nondeterministic; supply a hook"
             )
         hooked = simulator
-        reversible = is_reversible(hooked)
+        reversible = is_reverse_deterministic(simulator)[0]
         note = "identity hook; result deterministic" + (
             "" if reversible else ", not reversible"
         )

@@ -1,6 +1,12 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from machines import (
     brute_force_satisfiable,
     equality_pair_probe,
+    random_machine,
     semantically_deterministic,
     semantically_reverse_deterministic,
     words_upto,
@@ -110,6 +116,22 @@ def test_syntactic_matches_semantic_on_builtins(sq, sq_variant, prefixes, itrev,
         for u in words_upto("ab", 3):
             assert semantically_deterministic(machine, u)
             assert semantically_reverse_deterministic(machine, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2))
+def test_syntactic_matches_semantic_on_generated_machines(seed, k):
+    # a satisfiable joint guard needs k + 1 <= 3 distinct positions (head and
+    # pebbles); words of length <= 3 over "ab" give them, the head on any letter
+    machine = random_machine(random.Random(seed), k=k)
+    for check, semantic in (
+        (is_deterministic, semantically_deterministic),
+        (is_reverse_deterministic, semantically_reverse_deterministic),
+    ):
+        ok, witness = check(machine)
+        assert ok == all(semantic(machine, u) for u in words_upto("ab", 3))
+        if witness is not None:
+            assert brute_force_satisfiable(witness.joint_test, machine.k, machine.k + 2)
 
 
 def test_reverse_determinism_equals_determinism_of_reverse(sq, prefixes, itrev):

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machines import brute_force_satisfiable
+from machines import brute_force_satisfiable, random_machine
 from pebbletx.core import (
     FALSE,
     NOP,
@@ -14,10 +15,12 @@ from pebbletx.core import (
     apply_op,
     drop,
     eval_test,
+    guard,
     head_eq,
     lift,
     op_enabled,
     peb_eq,
+    reverse_guard,
     reverse_op,
     satisfiable,
     shift_op,
@@ -122,6 +125,26 @@ def test_test_of_op_matches_enabledness():
                     for peb in itertools.product(positions, repeat=size):
                         for h in positions:
                             assert eval_test(guard, peb, h) == op_enabled(op, peb, h)
+
+
+def test_guards_match_reference_semantics():
+    # guard = "t can fire" as runner.enabled reads it; reverse_guard = "t can
+    # be undone" as runner.reverse_enabled reads it, on the stack t produced
+    rng = random.Random(11)
+    for k in (1, 2, 3):
+        transitions = {t for _ in range(4) for t in random_machine(rng, k=k).transitions}
+        for t in transitions:
+            fwd, bwd = guard(t, k), reverse_guard(t, k)
+            for size in range(k + 1):
+                for peb in itertools.product(range(4), repeat=size):
+                    for h in range(4):
+                        assert eval_test(fwd, peb, h) == (
+                            eval_test(t.test, peb, h) and op_enabled(t.op, peb, h)
+                        )
+                        before = apply_op(reverse_op(t.op), peb, h)
+                        assert eval_test(bwd, peb, h) == (
+                            before is not None and eval_test(t.test, before, h)
+                        )
 
 
 def _atom_strategy(k):
