@@ -92,13 +92,10 @@ def validate(machine: Transducer) -> list[Violation]:
 def _first_conflict(
     machine: Transducer, end: str, guard_of, direction: str
 ) -> tuple[bool, Optional[ConflictWitness]]:
-    """Group transitions by (``end`` state, letter) and return the first
-    pair in a group whose ``guard_of`` guards are jointly satisfiable."""
+    """The first pair in a group of ``machine.groups(end)`` whose
+    ``guard_of`` guards are jointly satisfiable."""
     k = machine.k
-    groups: dict = {}
-    for t in machine.transitions:
-        groups.setdefault((getattr(t, end), t.letter), []).append(t)
-    for group in groups.values():
+    for group in machine.groups(end).values():
         if len(group) < 2:
             continue
         guards = [guard_of(t, k) for t in group]

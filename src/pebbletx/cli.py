@@ -74,16 +74,12 @@ def _cmd_check(args) -> int:
     det, w1 = analysis.is_deterministic(machine)
     rev, w2 = analysis.is_reverse_deterministic(machine)
     print(f"valid: {'yes' if not violations else 'no'}")
-    print(f"deterministic: {'yes' if det else 'no'}")
-    if w1:
-        print(f"  conflict: {w1.t1.render()}")
-        print(f"       and: {w1.t2.render()}")
-        print(f"  joint test: {w1.joint_test.render()}")
-    print(f"reverse-deterministic: {'yes' if rev else 'no'}")
-    if w2:
-        print(f"  conflict: {w2.t1.render()}")
-        print(f"       and: {w2.t2.render()}")
-        print(f"  joint test: {w2.joint_test.render()}")
+    for label, ok, w in (("deterministic", det, w1), ("reverse-deterministic", rev, w2)):
+        print(f"{label}: {'yes' if ok else 'no'}")
+        if w:
+            print(f"  conflict: {w.t1.render()}")
+            print(f"       and: {w.t2.render()}")
+            print(f"  joint test: {w.joint_test.render()}")
     reversible = not violations and det and rev
     print(f"reversible: {'yes' if reversible else 'no'}")
     return 0 if reversible else 1

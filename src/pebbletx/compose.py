@@ -287,7 +287,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
         for t in by_src.get(q, []):
             if not t.out:
                 continue
-            for t2 in sn.from_state_letter(q2, t.out[0]):
+            for t2 in sn.groups("src").get((q2, t.out[0]), ()):
                 psi = guard(t2, m)
                 if t2.op.is_nop():
                     p2 = sn.pol(t2.dst)

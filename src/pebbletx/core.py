@@ -50,6 +50,10 @@ class WordError(PebbleError):
     """A word to run on holds a non-Symbol element or the bare endmarker."""
 
 
+class PebbleIndexError(PebbleError, IndexError):
+    """An operation or test names a pebble outside 1..k."""
+
+
 # ---------------------------------------------------------------------------
 # Symbols
 
@@ -260,7 +264,7 @@ def test_of_op(op: PebbleOp, k: int) -> Test:
     if op.is_nop():
         return TRUE
     if not 1 <= op.index <= k:
-        raise IndexError(f"operation {op.render()} out of range for k={k}")
+        raise PebbleIndexError(f"operation {op.render()} out of range for k={k}")
     i = op.index
     atoms: list[Atom] = []
     if op.kind == "drop":
@@ -345,7 +349,7 @@ def shift_op(op: PebbleOp, d: int, k: Optional[int] = None) -> PebbleOp:
         return op
     shifted = PebbleOp(op.kind, op.index + d)
     if k is not None and shifted.index > k:
-        raise IndexError(f"shifted op {shifted.render()} exceeds k={k}")
+        raise PebbleIndexError(f"shifted op {shifted.render()} exceeds k={k}")
     return shifted
 
 
@@ -354,7 +358,7 @@ def shift_test(t: Test, d: int, k: Optional[int] = None) -> Test:
         return FALSE
     shifted = Test.of(*(a.shifted(d) for a in t.atoms)) if d else t
     if k is not None and shifted.max_index() > k:
-        raise IndexError(f"shifted test {shifted.render()} exceeds k={k}")
+        raise PebbleIndexError(f"shifted test {shifted.render()} exceeds k={k}")
     return shifted
 
 
@@ -471,9 +475,11 @@ class Transducer:
 
     ``polarity`` maps each state to -1/0/+1; the head moves by the polarity
     of a transition's *target* state.  The machine is a plain value: nothing
-    mutates it after construction, so concurrent use is safe.  The indexes
-    built here and the run table the runner compiles lazily are derived
-    from the fields, which is why they must never be mutated.
+    mutates it after construction, so concurrent use is safe.  Two things
+    are derived from the fields and built on first use: the transition
+    index of ``groups`` and the run table the runner compiles.  Being
+    derived, neither may be mutated.  Concurrent first calls of ``groups``
+    may each build an equal dict; one of them is kept.
     """
 
     name: str
@@ -488,23 +494,8 @@ class Transducer:
     metadata: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        unique = []
-        for t in self.transitions:
-            if t not in seen:
-                seen.add(t)
-                unique.append(t)
-        self.transitions = tuple(unique)
-        by_src: dict = {}
-        by_dst: dict = {}
-        by_src_letter: dict = {}
-        for t in self.transitions:
-            by_src.setdefault(t.src, []).append(t)
-            by_dst.setdefault(t.dst, []).append(t)
-            by_src_letter.setdefault((t.src, t.letter), []).append(t)
-        self._by_src = by_src
-        self._by_dst = by_dst
-        self._by_src_letter = by_src_letter
+        self.transitions = tuple(dict.fromkeys(self.transitions))
+        self._groups: dict = {}  # end -> index, built by groups() on first use
         self._run_table = None  # compiled by the runner on first use
 
     @property
@@ -514,14 +505,18 @@ class Transducer:
     def pol(self, state) -> int:
         return self.polarity[state]
 
-    def from_state(self, state) -> list[Transition]:
-        return self._by_src.get(state, [])
+    def groups(self, end: str) -> dict:
+        """Transitions grouped by (``t.src`` or ``t.dst``, letter), for
+        ``end`` ``"src"`` or ``"dst"``, each group in ``transitions`` order.
 
-    def into_state(self, state) -> list[Transition]:
-        return self._by_dst.get(state, [])
-
-    def from_state_letter(self, state, letter: Symbol) -> list[Transition]:
-        return self._by_src_letter.get((state, letter), [])
+        Built on the first call for each ``end`` and cached."""
+        index = self._groups.get(end)
+        if index is None:
+            index = {}
+            for t in self.transitions:
+                index.setdefault((getattr(t, end), t.letter), []).append(t)
+            self._groups[end] = index
+        return index
 
     def letters(self) -> frozenset[Symbol]:
         return self.input_alphabet | {ENDMARKER}

@@ -108,7 +108,7 @@ def step(
     wrapping across the endmarker."""
     n = len(word) + 1
     out = []
-    for t in machine.from_state_letter(c.state, letter_at(word, c.head)):
+    for t in machine.groups("src").get((c.state, letter_at(word, c.head)), ()):
         if not eval_test(t.test, c.peb, c.head):
             continue
         peb = apply_op(t.op, c.peb, c.head)
@@ -119,35 +119,21 @@ def step(
     return out
 
 
-def reverse_enabled(
-    machine: Transducer, t: Transition, c_after: Configuration, word: tuple[Symbol, ...]
-) -> bool:
-    """Could ``t`` have produced ``c_after`` as its successor?"""
-    if t.dst != c_after.state:
-        return False
-    n = len(word) + 1
-    h = (c_after.head - machine.pol(t.dst)) % n
-    if t.letter != letter_at(word, h):
-        return False
-    rev = reverse_op(t.op)
-    peb = apply_op(rev, c_after.peb, h)
-    if peb is None:
-        return False
-    return eval_test(t.test, peb, h)
-
-
 def step_back(
     machine: Transducer, c_after: Configuration, word: tuple[Symbol, ...]
 ) -> list[tuple[Transition, Configuration]]:
-    """Exactly the (t, c) with c --t--> c_after."""
-    n = len(word) + 1
+    """Exactly the (t, c) with c --t--> c_after.
+
+    Every transition into ``c_after.state`` moved the head by that state's
+    polarity, so all of them read the letter at the same position h."""
+    if c_after.state not in machine.polarity:
+        return []
+    h = (c_after.head - machine.pol(c_after.state)) % (len(word) + 1)
     out = []
-    for t in machine.into_state(c_after.state):
-        if not reverse_enabled(machine, t, c_after, word):
-            continue
-        h = (c_after.head - machine.pol(t.dst)) % n
+    for t in machine.groups("dst").get((c_after.state, letter_at(word, h)), ()):
         peb = apply_op(reverse_op(t.op), c_after.peb, h)
-        out.append((t, Configuration(t.src, peb, h)))
+        if peb is not None and eval_test(t.test, peb, h):
+            out.append((t, Configuration(t.src, peb, h)))
     return out
 
 
@@ -198,7 +184,7 @@ class _RunTable:
     """One machine's interned states and letters.
 
     Letter id 0 is the endmarker.  A bucket holds the transitions of one
-    (state, letter) in ``from_state_letter`` order as entries
+    (state, letter) in ``groups("src")`` order as entries
     ``(guard, kind, dst, out, transition)``: the guard from ``_guard``, the
     op kind (``_NOP``/``_DROP``/``_LIFT``) and the target node.  Transitions
     whose test is the constant false never fire and are left out.
@@ -255,7 +241,7 @@ class _RunTable:
                         t.out,
                         t,
                     )
-                    for t in m.from_state_letter(node.state, self.letters[lid])
+                    for t in m.groups("src").get((node.state, self.letters[lid]), ())
                     if not t.test.false
                 )
             return bucket

@@ -9,7 +9,6 @@ constructions assume.
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
 from .core import (
     ENDMARKER,
     NOP,
@@ -40,7 +39,6 @@ __all__ = [
     "mat_ones",
     "basic_consistent",
     "bits_matrix_satisfy",
-    "op_allowed_by_bits",
     "update_matrix",
 ]
 
@@ -150,14 +148,11 @@ def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> boo
     return True
 
 
-def op_allowed_by_bits(op: PebbleOp, alpha: Matrix, b: Bits) -> bool:
-    k = len(b)
-    if op.is_nop():
-        return True
-    n = op.index
-    if op.kind == "drop":
-        return alpha[n - 1][n - 1] == 0 and (n == 1 or alpha[n - 2][n - 2] == 1)
-    return b[n - 1] == 1 and (n == k or alpha[n][n] == 0)
+def _consistent_bits(alpha: Matrix) -> list[Bits]:
+    """The b with ``basic_consistent(alpha, b)``, in ascending order, for
+    alpha an equivalence on the dropped pebbles: b marks no pebble or
+    exactly one class of alpha, and the rows of alpha are those classes."""
+    return sorted(set(alpha) | {(0,) * len(alpha)})
 
 
 def update_matrix(op: PebbleOp, alpha: Matrix, b: Bits) -> Matrix:
@@ -197,7 +192,9 @@ def eliminate_equality(machine: Transducer) -> Transducer:
     Determinism and reverse-determinism carry over.
     """
     k = machine.k
-    all_bits = list(product((0, 1), repeat=k))
+    by_src: dict = {}
+    for t in machine.transitions:
+        by_src.setdefault(t.src, []).append((t, guard(t, k)))
     start = (machine.initial, mat_zero(k))
     final = (machine.final, mat_zero(k))
     polarity = {start: 0, final: 0}
@@ -206,13 +203,10 @@ def eliminate_equality(machine: Transducer) -> Transducer:
     seen = {start, final}
     while queue:
         q, alpha = queue.popleft()
-        for t in machine.from_state(q):
-            for b in all_bits:
-                if not basic_consistent(alpha, b):
-                    continue
-                if not bits_matrix_satisfy(t.test, alpha, b, k):
-                    continue
-                if not op_allowed_by_bits(t.op, alpha, b):
+        candidates = _consistent_bits(alpha)
+        for t, enabled in by_src.get(q, ()):
+            for b in candidates:
+                if not bits_matrix_satisfy(enabled, alpha, b, k):
                     continue
                 target = (t.dst, update_matrix(t.op, alpha, b))
                 if target not in seen:

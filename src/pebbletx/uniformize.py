@@ -25,12 +25,14 @@ from .core import (
     TRUE,
     HasPebblesError,
     HookRequiredError,
+    NotDeterministicError,
     NotReversibleError,
     Symbol,
     Test,
     Transducer,
     Transition,
     drop,
+    guard,
     head_eq,
     lift,
     word_symbols,
@@ -357,33 +359,24 @@ def decompose(machine: Transducer) -> Transducer:
     ts.append(Transition((m.final, 0, "ml"), ENDMARKER, TRUE, NOP, p_f))
     # simulation steps
     for t in m.transitions:
+        # with a total matrix and i pebbles dropped, the guard admits drop(j)
+        # only for j = i + 1 and lift(j) only for j = i with b[i - 1] = 1
+        enabled = guard(t, k)
+        height = {"nop": 0, "drop": 1, "lift": -1}[t.op.kind]
+        pol2 = m.pol(t.dst)
+        if pol2 == 0:
+            mode = "s"
+        elif pol2 < 0 and not t.letter.is_endmarker():
+            mode = "ml"
+        else:
+            mode = "mr"
         for i in range(k + 1):
-            if t.op.is_nop():
-                i2 = i
-            elif t.op.kind == "drop" and t.op.index == i + 1:
-                i2 = i + 1
-            elif t.op.kind == "lift" and t.op.index == i and i >= 1:
-                i2 = i - 1
-            else:
-                continue
-            pol2 = m.pol(t.dst)
-            if pol2 == 0:
-                mode = "s"
-            elif pol2 < 0 and not t.letter.is_endmarker():
-                mode = "ml"
-            else:
-                mode = "mr"
             for b, mat in pairs:
-                if not _upper_marked(b, i):
-                    continue
-                if t.op.kind == "lift" and b[i - 1] != 1:
-                    continue
-                if not bits_matrix_satisfy(t.test, mat, b, i):
-                    continue
-                letter = _annot_matrix(_annot_bits(t.letter, b), mat)
-                ts.append(
-                    Transition((t.src, i, "s"), letter, TRUE, NOP, (t.dst, i2, mode), t.out)
-                )
+                if _upper_marked(b, i) and bits_matrix_satisfy(enabled, mat, b, i):
+                    letter = _annot_matrix(_annot_bits(t.letter, b), mat)
+                    ts.append(Transition(
+                        (t.src, i, "s"), letter, TRUE, NOP, (t.dst, i + height, mode), t.out
+                    ))
     # head-move scans; both directions treat '#' alike, and off '#' the scan
     # in the machine's direction stops at the copy whose upper pebbles sit
     # on the head while the opposite scan passes over
@@ -465,17 +458,13 @@ class TwoWayTransducer:
 
     def __post_init__(self) -> None:
         self.transitions = tuple(dict.fromkeys(self.transitions))
-        index: dict = {}
-        for t in self.transitions:
-            index.setdefault((t.src, t.letter), []).append(t)
-        self._index = index
+        self._groups: dict = {}  # end -> index, built by groups() on first use
+
+    groups = Transducer.groups  # the same lazily built (state, letter) index
 
     @property
     def states(self) -> frozenset:
         return self.forward | self.backward
-
-    def arcs(self, state, letter: Symbol) -> list[TwoWayTransition]:
-        return self._index.get((state, letter), [])
 
 
 def two_way_violations(t2: TwoWayTransducer) -> list[str]:
@@ -525,7 +514,7 @@ def run_two_way(t2: TwoWayTransducer, u, budget: Optional[int] = None):
         letter = letter_right(h) if state in t2.forward else letter_left(h)
         if letter is None:
             return "reject", None
-        arcs = t2.arcs(state, letter)
+        arcs = t2.groups("src").get((state, letter), ())
         if len(arcs) > 1:
             raise NotDeterministicTwoWay(state, letter)
         if not arcs:
@@ -540,26 +529,21 @@ def run_two_way(t2: TwoWayTransducer, u, budget: Optional[int] = None):
     return "diverge", None
 
 
-class NotDeterministicTwoWay(Exception):
-    pass
+class NotDeterministicTwoWay(NotDeterministicError):
+    """Two transitions of a two-way transducer share (state, letter)."""
+
+
+def _two_way_unique(t2: TwoWayTransducer, end: str) -> bool:
+    """No two transitions share (``end`` state, letter)."""
+    return all(len(group) == 1 for group in t2.groups(end).values())
 
 
 def two_way_is_deterministic(t2: TwoWayTransducer) -> bool:
-    seen = set()
-    for t in t2.transitions:
-        if (t.src, t.letter) in seen:
-            return False
-        seen.add((t.src, t.letter))
-    return True
+    return _two_way_unique(t2, "src")
 
 
 def two_way_is_reverse_deterministic(t2: TwoWayTransducer) -> bool:
-    seen = set()
-    for t in t2.transitions:
-        if (t.dst, t.letter) in seen:
-            return False
-        seen.add((t.dst, t.letter))
-    return True
+    return _two_way_unique(t2, "dst")
 
 
 def two_way_is_reversible(t2: TwoWayTransducer) -> bool:

@@ -129,7 +129,7 @@ def test_test_of_op_matches_enabledness():
 
 def test_guards_match_reference_semantics():
     # guard = "t can fire" as runner.enabled reads it; reverse_guard = "t can
-    # be undone" as runner.reverse_enabled reads it, on the stack t produced
+    # be undone" as runner.step_back checks it, on the stack t produced
     rng = random.Random(11)
     for k in (1, 2, 3):
         transitions = {t for _ in range(4) for t in random_machine(rng, k=k).transitions}

@@ -247,7 +247,7 @@ def test_buckets_compile_on_first_visit():
     assert machine._run_table is None
     run(machine, "ab")
     compiled = sum(len(node.buckets) for node in machine._run_table.nodes.values())
-    assert 0 < compiled < len(machine._by_src_letter)
+    assert 0 < compiled < len(machine.groups("src"))
 
 
 def test_concurrent_first_runs_share_one_table():
@@ -302,5 +302,5 @@ def test_nondeterministic_candidates_in_bucket_order(machine):
     with pytest.raises(NondeterministicChoiceError) as e:
         run(machine, "ab")
     t1, t2 = e.value.candidates
-    bucket = machine.from_state_letter(e.value.config.state, t1.letter)
+    bucket = machine.groups("src")[(e.value.config.state, t1.letter)]
     assert bucket.index(t1) < bucket.index(t2)

@@ -1,21 +1,29 @@
+import random
+
 import pytest
 
 from machines import (
+    all_configurations,
     iterated_reverse_fn,
     prefixes_reversed_fn,
+    random_machine,
     squaring_fn,
     two_branch_toy,
     words_upto,
 )
+from pebbletx import builtins
+from pebbletx.analysis import is_deterministic, is_reverse_deterministic
 from pebbletx.core import (
     ENDMARKER,
     NOP,
     Configuration,
+    PebbleError,
     Symbol,
     TRUE,
     Transducer,
     Transition,
     WordError,
+    drop,
     word_symbols,
 )
 from pebbletx.runner import (
@@ -33,7 +41,7 @@ from pebbletx.uniformize import build_config_enumerator, build_equality_annotato
 
 
 def _t0(machine):
-    (t,) = [t for t in machine.from_state(machine.initial)]
+    (t,) = [t for t in machine.transitions if t.src == machine.initial]
     return t
 
 
@@ -81,6 +89,43 @@ def test_step_back_round_trip(sq):
             t, c2 = succ[0]
             assert (t, c) in step_back(sq, c2, word)
             c = c2
+
+
+def _step_back_cases():
+    for make in (builtins.squaring, builtins.squaring_variant, builtins.modified_squaring,
+                 builtins.all_prefixes_reversed, builtins.iterated_reverse, builtins.copier):
+        yield make()
+    rng = random.Random(5)
+    for k in (0, 1, 2, 3, 1, 2):
+        yield random_machine(rng, k=k)
+
+
+@pytest.mark.parametrize("machine", list(_step_back_cases()), ids=lambda m: m.name)
+def test_step_back_is_exactly_the_inverse_of_step(machine):
+    sigma = "".join(sorted(s.base for s in machine.input_alphabet))
+    for u in words_upto(sigma, 2):
+        word = word_symbols(u)
+        preds: dict = {}
+        for c in all_configurations(machine, u):
+            for t, c2 in step(machine, c, word):
+                preds.setdefault(c2, set()).add((t, c))
+        for c2 in all_configurations(machine, u):
+            back = step_back(machine, c2, word)
+            assert len(back) == len(set(back))
+            assert set(back) == preds.get(c2, set()), (u, c2)
+
+
+def test_op_index_beyond_k_is_a_pebble_error():
+    # neither the run nor the analysis path validates the machine first
+    sig = frozenset({Symbol("a")})
+    ts = (Transition("i", ENDMARKER, TRUE, drop(2), "f"), Transition("i", ENDMARKER, TRUE, NOP, "f"))
+    bad = Transducer("bad", 1, sig, sig, {"i": 0, "f": 0}, "i", "f", ts)
+    for check in (run, enumerate_runs):
+        with pytest.raises(PebbleError):
+            check(bad, "a")
+    for check in (is_deterministic, is_reverse_deterministic):
+        with pytest.raises(PebbleError):
+            check(bad)
 
 
 def test_step_back_of_accepting_config(sq):

@@ -26,6 +26,7 @@ from pebbletx.core import (
 )
 from pebbletx.runner import enumerate_runs, run, semantics, step
 from pebbletx.transforms import (
+    _consistent_bits,
     basic_consistent,
     eliminate_equality,
     ensure_full_read,
@@ -169,6 +170,17 @@ def test_phi_commutes_with_ops():
                         alpha, b = phi1(peb, k), phi2(h, peb, k)
                         assert basic_consistent(alpha, b)
                         assert update_matrix(op, alpha, b) == phi1(after, k)
+
+
+def test_consistent_bits_are_the_basic_consistent_vectors():
+    # phi1 of every stack gives every equivalence on a prefix of the pebbles
+    for k in range(4):
+        for size in range(k + 1):
+            for peb in itertools.product(range(k), repeat=size):
+                alpha = phi1(peb, k)
+                want = [b for b in itertools.product((0, 1), repeat=k)
+                        if basic_consistent(alpha, b)]
+                assert _consistent_bits(alpha) == want, alpha
 
 
 def test_eliminate_equality_on_basic_machine(sq):

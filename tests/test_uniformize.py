@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,9 +16,10 @@ from machines import (
 from pebbletx.analysis import is_deterministic, is_reversible, validate
 from pebbletx.builtins import squaring
 from pebbletx.compose import compose
-from pebbletx.core import HookRequiredError
+from pebbletx.core import HookRequiredError, PebbleError
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.uniformize import (
+    TwoWayTransition,
     brute_force_hook,
     build_config_enumerator,
     build_equality_annotator,
@@ -350,6 +352,16 @@ def test_two_way_preserves_reversibility(itrev, ident):
         assert two_way_is_reverse_deterministic(t2)
         assert two_way_is_reversible(t2) == is_reversible(machine)
         assert is_reversible(two_way_to_zero_pebble(t2))
+
+
+def test_two_way_nondeterminism_is_a_pebble_error(ident):
+    t2 = zero_pebble_to_two_way(ident)
+    first = next(t for t in t2.transitions if t.src == t2.initial)
+    extra = TwoWayTransition(first.src, first.letter, t2.final)
+    nondet = dataclasses.replace(t2, transitions=t2.transitions + (extra,))
+    assert not two_way_is_deterministic(nondet)
+    with pytest.raises(PebbleError):
+        run_two_way(nondet, "ab")
 
 
 def test_two_way_marker_transitions_do_not_overlap(itrev):
