@@ -12,16 +12,15 @@ from typing import Iterable, Union
 from .core import (
     ENDMARKER,
     NOP,
-    ReservedLetterError,
     Symbol,
     Test,
     TRUE,
     Transducer,
     Transition,
+    alphabet_of,
     drop,
     head_eq,
     lift,
-    word_symbols,
 )
 
 Alphabet = Union[str, Iterable[Symbol]]
@@ -33,13 +32,6 @@ def mark(s: Symbol) -> Symbol:
     """Marked copy of a letter; appending a bit keeps re-marking injective."""
     bits = (s.bits or ()) + (1,)
     return Symbol(s.base, bits, s.matrix)
-
-
-def _alphabet(sigma: Alphabet) -> frozenset[Symbol]:
-    syms = frozenset(word_symbols(sigma))
-    if any(s.is_endmarker() for s in syms):
-        raise ReservedLetterError("the endmarker '#' cannot be an alphabet letter")
-    return syms
 
 
 def _machine(name, k, sigma, gamma, pol, initial, final, transitions, eq=False):
@@ -59,7 +51,7 @@ def _machine(name, k, sigma, gamma, pol, initial, final, transitions, eq=False):
 def squaring(sigma: Alphabet = "ab", variant: bool = False) -> Transducer:
     """One copy of the input per input letter, the i-th letter of the i-th
     copy marked.  ``variant`` flips q3 to a left-mover (same function)."""
-    sig = _alphabet(sigma)
+    sig = alphabet_of(sigma)
     pol = {"q0": 0, "q1": 1, "q2": 0, "q3": -1 if variant else 1, "q4": 1, "q5": 1}
     p1 = Test.of(head_eq(1))
     not_p1 = Test.of(head_eq(1, negated=True))
@@ -105,7 +97,7 @@ def modified_squaring(sigma: Alphabet = "ab") -> Transducer:
 
 def all_prefixes_reversed(sigma: Alphabet = "ab") -> Transducer:
     """Concatenation of the reverses of all prefixes, '!'-separated."""
-    sig = _alphabet(sigma)
+    sig = alphabet_of(sigma)
     pol = {"q0": 0, "q1": 1, "q2": 0, "q3": -1, "q4": 1}
     not_p1 = Test.of(head_eq(1, negated=True))
     ts = [
@@ -129,7 +121,7 @@ def iterated_reverse(sigma: Alphabet = "ab!") -> Transducer:
 
     '!' is the separator; it is added to the alphabet if absent.
     """
-    sig = _alphabet(sigma) | {BANG}
+    sig = alphabet_of(sigma) | {BANG}
     plain = sorted(sig - {BANG})
     pol = {"r0": 0, "r1": 1, "r2": -1, "r3": 1, "rf": 0}
     ts = [
@@ -152,7 +144,7 @@ def iterated_reverse(sigma: Alphabet = "ab!") -> Transducer:
 
 def copier(sigma: Alphabet = "ab") -> Transducer:
     """Identity function as a single left-to-right sweep (0 pebbles)."""
-    sig = _alphabet(sigma)
+    sig = alphabet_of(sigma)
     pol = {"c0": 0, "c1": 1, "c2": 0}
     ts = [
         Transition("c0", ENDMARKER, TRUE, NOP, "c1"),

@@ -20,13 +20,12 @@ For m = 0 no segment is ever frozen: the states are ``('sync', q, q2)`` and
 first machine's n pebbles (the (n+1)(m+1)-1 count at m = 0).
 ``compose_simple`` names that case.
 
-Machines are built by forward reachability, so unreachable product states
-and gadget chains are pruned as constructed.
+The product is built by ``core.explore`` from the initial sync state, so no
+unreachable product state or gadget chain is ever built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from .analysis import is_deterministic, is_reversible
 from .core import (
     ENDMARKER,
@@ -42,6 +41,7 @@ from .core import (
     Transducer,
     Transition,
     drop,
+    explore,
     guard,
     head_eq,
     lift,
@@ -259,24 +259,11 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
 
     init = ("sync", tn.initial, sn.initial)
     fin = ("sync", tn.initial, sn.final)
-    polarity = {init: 0, fin: 0}
-    transitions: list[Transition] = []
     kinds: dict[Transition, str] = {}
-    queue = deque([init])
-    # gadget exits registered while processing the owning sync state:
+    # gadget exits registered while processing the owning sync state, which
+    # explore expands before the gadget's end state (first in, first out):
     # state -> list of (letter, test, target, kind)
     pending_exits: dict = {}
-
-    def emit(src, letter, test, op, dst, out, kind):
-        if not satisfiable(test.conjoin(test_of_op(op, r)), r):
-            return
-        t = Transition(src, letter, test, op, dst, out)
-        transitions.append(t)
-        kinds.setdefault(t, kind)
-        if dst not in polarity:
-            polarity[dst] = pol_of(dst)
-            queue.append(dst)
-
     all_letters = sorted(tn.input_alphabet) + [ENDMARKER]
 
     def process_sync(state):
@@ -293,14 +280,14 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                     p2 = sn.pol(t2.dst)
                     for test in xi(t, q, xbar, ybar, psi):
                         if p2 > 0:
-                            emit(state, t.letter, test, t.op.shifted(d, r),
-                                 ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
+                            yield (t.letter, test, t.op.shifted(d, r),
+                                   ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
                         elif p2 < 0:
-                            emit(state, t.letter, test, NOP,
-                                 ("sim", q, t2.dst) + frames, t2.out, "tr-b")
+                            yield (t.letter, test, NOP,
+                                   ("sim", q, t2.dst) + frames, t2.out, "tr-b")
                         else:
-                            emit(state, t.letter, test, NOP,
-                                 ("sync", q, t2.dst) + frames, t2.out, "tr-c")
+                            yield (t.letter, test, NOP,
+                                   ("sync", q, t2.dst) + frames, t2.out, "tr-c")
                 elif t2.op.kind == "lift":
                     if t2.op.index != k or k == 0 or xbar[-1] != q:
                         continue
@@ -317,7 +304,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                     ]
                     entry = ("liftg", q, q2, 1) + frames
                     for test in xi(t, q, xbar, ybar, psi):
-                        emit(state, t.letter, test, NOP, entry, t2.out, "lift-a")
+                        yield t.letter, test, NOP, entry, t2.out, "lift-a"
                     exits = pending_exits.setdefault(("liftg0", q, q2) + frames, [])
                     for test in exit_tests:
                         exits.append((t.letter, test, target, "lift-b"))
@@ -330,7 +317,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                         target = ("sync", q, t2.dst) + frames + ((q, z),)
                         entry = ("dropg", q, q2, z, 1) + frames
                         for test in entry_tests:
-                            emit(state, t.letter, test, drop(d + z), entry, t2.out, "drop-a")
+                            yield t.letter, test, drop(d + z), entry, t2.out, "drop-a"
                         exits = pending_exits.setdefault(("dropg", q, q2, z, z) + frames, [])
                         for test in xi(t, q, xbar + (q,), ybar + (z,), exit_psi):
                             exits.append((t.letter, test, target, "drop-b"))
@@ -342,16 +329,16 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             for t in by_src.get(q, []):
                 guard, op = shifted("fwd", t, d)
                 if t.out:
-                    emit(state, t.letter, guard, op, ("sync", q, q2) + frames, (), "sw-a")
+                    yield t.letter, guard, op, ("sync", q, q2) + frames, (), "sw-a"
                 else:
-                    emit(state, t.letter, guard, op, ("sim", t.dst, q2) + frames, (), "mv-a")
+                    yield t.letter, guard, op, ("sim", t.dst, q2) + frames, (), "mv-a"
         else:
             for t in by_dst.get(q, []):
                 guard, rop = shifted("bwd", t, d)
                 if t.out:
-                    emit(state, t.letter, guard, rop, ("sync", t.src, q2) + frames, (), "sw-b")
+                    yield t.letter, guard, rop, ("sync", t.src, q2) + frames, (), "sw-b"
                 else:
-                    emit(state, t.letter, guard, rop, ("sim", t.src, q2) + frames, (), "mv-b")
+                    yield t.letter, guard, rop, ("sim", t.src, q2) + frames, (), "mv-b"
 
     def process_liftg(state):
         q, q2, ell, frames = state[1], state[2], state[3], state[4:]
@@ -361,16 +348,16 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             head_eq(d - ell + 1, negated=True), head_eq(d + y - ell, negated=True)
         )
         for sigma in all_letters:
-            emit(state, sigma, loop_test, NOP, state, (), "lift-scan")
+            yield sigma, loop_test, NOP, state, (), "lift-scan"
             if ell < y:
-                emit(state, sigma, Test.of(head_eq(d - ell)), lift(d + y - ell),
-                     ("liftg", q, q2, ell + 1) + frames, (), "lift-pop")
+                yield (sigma, Test.of(head_eq(d - ell)), lift(d + y - ell),
+                       ("liftg", q, q2, ell + 1) + frames, (), "lift-pop")
             else:
-                emit(state, sigma, TRUE, lift(d), ("liftg0", q, q2) + frames, (), "lift-pop")
+                yield sigma, TRUE, lift(d), ("liftg0", q, q2) + frames, (), "lift-pop"
 
     def process_exits(state):
         for letter, test, target, kind in pending_exits.get(state, []):
-            emit(state, letter, test, NOP, target, (), kind)
+            yield letter, test, NOP, target, (), kind
 
     def process_dropg(state):
         q, q2, z, ell, frames = state[1], state[2], state[3], state[4], state[5:]
@@ -379,12 +366,12 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             head_eq(d + z + ell - 1, negated=True), head_eq(d + ell, negated=True)
         )
         for sigma in all_letters:
-            emit(state, sigma, loop_test, NOP, state, (), "drop-scan")
+            yield sigma, loop_test, NOP, state, (), "drop-scan"
             if ell < z:
-                emit(state, sigma, Test.of(head_eq(d + ell)), drop(d + z + ell),
-                     ("dropg", q, q2, z, ell + 1) + frames, (), "drop-push")
+                yield (sigma, Test.of(head_eq(d + ell)), drop(d + z + ell),
+                       ("dropg", q, q2, z, ell + 1) + frames, (), "drop-push")
         if ell == z:
-            process_exits(state)
+            yield from process_exits(state)
 
     handlers = {
         "sync": process_sync,
@@ -393,10 +380,17 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
         "liftg0": process_exits,
         "dropg": process_dropg,
     }
-    while queue:
-        state = queue.popleft()
-        handlers[state[0]](state)
 
+    def emit(state):
+        """The handler's moves (letter, test, op, target, output, kind) out of
+        ``state`` that can fire, as transitions tagged with their kind."""
+        for letter, test, op, dst, out, kind in handlers[state[0]](state):
+            if satisfiable(test.conjoin(test_of_op(op, r)), r):
+                t = Transition(state, letter, test, op, dst, out)
+                kinds.setdefault(t, kind)
+                yield t
+
+    polarity, transitions = explore(init, fin, pol_of, emit)
     eq_used = any(a.kind == "p" for t in transitions for a in t.test.atoms)
     return Transducer(
         name=f"compose({first.name},{second.name})",

@@ -8,11 +8,14 @@ all operations are pure functions.
 
 ``guard`` and ``reverse_guard`` are the one definition of when a
 transition can fire and when it can be undone; the runner, the analysis
-checks and every construction build on them.
+checks and every construction build on them.  ``Transducer.groups`` is the
+one transition index, and ``explore`` the one worklist that builds a derived
+machine from its initial state and the transitions leaving each state.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -107,6 +110,14 @@ def word_symbols(u: Union[str, Iterable[Symbol]]) -> tuple[Symbol, ...]:
     if isinstance(u, str):
         return tuple(Symbol(c) for c in u)
     return tuple(u)
+
+
+def alphabet_of(sigma: Union[str, Iterable[Symbol]]) -> frozenset[Symbol]:
+    """The letters of a user alphabet; the endmarker is reserved."""
+    letters = frozenset(word_symbols(sigma))
+    if ENDMARKER in letters:
+        raise ReservedLetterError("the endmarker '#' cannot be an alphabet letter")
+    return letters
 
 
 def letter_at(word: tuple[Symbol, ...], h: int) -> Symbol:
@@ -536,6 +547,26 @@ class Transducer:
         )
         fields.update(changes)
         return Transducer(**fields)
+
+
+def explore(initial, final, pol_of, successors) -> tuple[dict, list]:
+    """The states and transitions reachable from ``initial``, expanded first
+    in, first out: ``successors(state)`` yields the transitions leaving
+    ``state``, and ``pol_of`` gives each new state its polarity.  ``final``
+    is a state even when unreached, and is never expanded.  Returns the
+    polarity dict and the transitions, both in discovery order."""
+    polarity = {initial: pol_of(initial)}
+    if final not in polarity:
+        polarity[final] = pol_of(final)
+    transitions: list = []
+    queue = deque([initial])
+    while queue:
+        for t in successors(queue.popleft()):
+            transitions.append(t)
+            if t.dst not in polarity:
+                polarity[t.dst] = pol_of(t.dst)
+                queue.append(t.dst)
+    return polarity, transitions
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,15 @@ def _symbol_from_json(value, where: str) -> Symbol:
     )
 
 
+def _alphabet(doc: dict, key: str) -> frozenset:
+    """An alphabet field; annotated '#' letters are letters, the endmarker is not."""
+    letters = [_symbol_from_json(v, f"{key}[{i}]") for i, v in enumerate(_list(doc[key], key))]
+    if ENDMARKER in letters:
+        where = f"{key}[{letters.index(ENDMARKER)}]"
+        raise MachineFileError(where, "the endmarker '#' cannot be an alphabet letter")
+    return frozenset(letters)
+
+
 # ---------------------------------------------------------------------------
 # Tests and operations
 
@@ -251,14 +260,8 @@ def parse(text: str) -> Transducer:
     k = doc["pebbles"]
     if not _is_int(k) or k < 0:
         raise MachineFileError("pebbles", f"bad pebble count {k!r}")
-    input_alphabet = frozenset(
-        _symbol_from_json(v, f"input_alphabet[{i}]")
-        for i, v in enumerate(_list(doc["input_alphabet"], "input_alphabet"))
-    )
-    output_alphabet = frozenset(
-        _symbol_from_json(v, f"output_alphabet[{i}]")
-        for i, v in enumerate(_list(doc["output_alphabet"], "output_alphabet"))
-    )
+    input_alphabet = _alphabet(doc, "input_alphabet")
+    output_alphabet = _alphabet(doc, "output_alphabet")
     polarity: dict = {}
     for i, st in enumerate(_list(doc["states"], "states")):
         where = f"states[{i}]"

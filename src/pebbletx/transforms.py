@@ -8,7 +8,6 @@ constructions assume.
 
 from __future__ import annotations
 
-from collections import deque
 from .core import (
     ENDMARKER,
     NOP,
@@ -18,6 +17,7 @@ from .core import (
     TRUE,
     Transducer,
     Transition,
+    explore,
     guard,
     head_eq,
     reverse_guard,
@@ -186,10 +186,11 @@ def _bits_test(b: Bits) -> Test:
 def eliminate_equality(machine: Transducer) -> Transducer:
     """Basic machine equivalent to one with equality tests.
 
-    States are (state, matrix) pairs reachable from the zero matrix; each
-    transition is duplicated over every consistent complete bit vector, so
-    guards become complete head-pebble tests and equality atoms disappear.
-    Determinism and reverse-determinism carry over.
+    States are the (state, matrix) pairs ``core.explore`` reaches from the
+    initial state with the zero matrix; each transition is duplicated over
+    every consistent complete bit vector, so guards become complete
+    head-pebble tests and equality atoms disappear.  Determinism and
+    reverse-determinism carry over.  Start and final are stationary.
     """
     k = machine.k
     by_src: dict = {}
@@ -197,27 +198,20 @@ def eliminate_equality(machine: Transducer) -> Transducer:
         by_src.setdefault(t.src, []).append((t, guard(t, k)))
     start = (machine.initial, mat_zero(k))
     final = (machine.final, mat_zero(k))
-    polarity = {start: 0, final: 0}
-    transitions: list[Transition] = []
-    queue = deque([start])
-    seen = {start, final}
-    while queue:
-        q, alpha = queue.popleft()
+
+    def successors(state):
+        q, alpha = state
         candidates = _consistent_bits(alpha)
         for t, enabled in by_src.get(q, ()):
             for b in candidates:
-                if not bits_matrix_satisfy(enabled, alpha, b, k):
-                    continue
-                target = (t.dst, update_matrix(t.op, alpha, b))
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-                polarity.setdefault(target, machine.pol(t.dst))
-                transitions.append(
-                    Transition((q, alpha), t.letter, _bits_test(b), t.op, target, t.out)
-                )
-    for state in seen:
-        polarity.setdefault(state, machine.pol(state[0]))
+                if bits_matrix_satisfy(enabled, alpha, b, k):
+                    target = (t.dst, update_matrix(t.op, alpha, b))
+                    yield Transition(state, t.letter, _bits_test(b), t.op, target, t.out)
+
+    def pol_of(state) -> int:
+        return 0 if state in (start, final) else machine.pol(state[0])
+
+    polarity, transitions = explore(start, final, pol_of, successors)
     return Transducer(
         name=f"basic({machine.name})",
         k=k,

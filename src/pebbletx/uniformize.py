@@ -12,7 +12,6 @@ not implement: ``uniformize_pipeline`` exposes that step as a hook.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -31,7 +30,9 @@ from .core import (
     Test,
     Transducer,
     Transition,
+    alphabet_of,
     drop,
+    explore,
     guard,
     head_eq,
     lift,
@@ -42,6 +43,7 @@ from .transforms import (
     Bits,
     Matrix,
     _bits_test,
+    _consistent_bits,
     bits_matrix_satisfy,
     mat_ones,
     separate_ops_unchecked,
@@ -93,9 +95,7 @@ def build_config_enumerator(k: int, sigma) -> Transducer:
     """
     if k < 1:
         raise ValueError("the configuration enumerator needs k >= 1")
-    sig = sorted(frozenset(word_symbols(sigma)))
-    if any(s.is_endmarker() for s in sig):
-        raise ValueError("the endmarker cannot be an alphabet letter")
+    sig = sorted(alphabet_of(sigma))
 
     def entry(j):
         return ("entry", j)
@@ -182,22 +182,12 @@ def _is_total(mat: Matrix) -> bool:
     return all(mat[i][i] for i in range(len(mat)))
 
 
-def _empty_or_class(b: Bits, mat: Matrix) -> bool:
-    """b marks no pebble or exactly one class of the equivalence ``mat``
-    (the nonzero rows of an equivalence matrix are its classes)."""
-    return not any(b) or b in mat
-
-
 def _realizable(k: int) -> list[tuple[Bits, Matrix]]:
     """The (bits, matrix) pairs a letter of an annotated C_k output can
     carry: the copy's total equivalence, and the bits of one position,
     which mark no pebble or one class.  There are B(k+1) of them."""
     return [
-        (b, mat)
-        for mat in _equivalences(k)
-        if _is_total(mat)
-        for b in product((0, 1), repeat=k)
-        if _empty_or_class(b, mat)
+        (b, mat) for mat in _equivalences(k) if _is_total(mat) for b in _consistent_bits(mat)
     ]
 
 
@@ -246,7 +236,7 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
     """
     if k < 1:
         raise ValueError("the equality annotator needs k >= 1")
-    sig = sorted(frozenset(word_symbols(sigma)))
+    sig = sorted(alphabet_of(sigma))
     all_bits = list(product((0, 1), repeat=k))
     relations = _equivalences(k)
     pairs = _realizable(k)
@@ -273,6 +263,7 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
         ts.append(Transition(reset, letters[ENDMARKER, b], TRUE, NOP, (mb, "c")))
         ts.append(Transition((mb, "u"), letters[ENDMARKER, b], TRUE, NOP, reset))
     for m in relations:
+        undoable = _consistent_bits(m)
         for b in all_bits:
             mb = _mat_of_bits(b)
             for a in sig:
@@ -280,7 +271,7 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
                     ts.append(
                         Transition((m, "c"), letters[a, b], TRUE, NOP, (_mat_or(m, mb), "c"))
                     )
-                if _empty_or_class(b, m):
+                if b in undoable:
                     ts.append(
                         Transition((m, "u"), letters[a, b], TRUE, NOP, (_mat_minus(m, mb), "u"))
                     )
@@ -333,6 +324,8 @@ def decompose(machine: Transducer) -> Transducer:
     drop or lift are assumed not to move the head, which ``decompose``
     enforces by splitting them first.  Only letters that C_k^= can write
     are read, so T_0's input alphabet is exactly C_k^='s output alphabet.
+    A state (q, i, mode) simulates q with i pebbles dropped, stepping ("s")
+    or scanning ("mr", "ml"); ``core.explore`` builds the reachable ones.
     """
     k = machine.k
     if k < 1:
@@ -343,25 +336,19 @@ def decompose(machine: Transducer) -> Transducer:
     m = separate_ops_unchecked(machine) if needs_split else machine
     sig = sorted(m.input_alphabet) + [ENDMARKER]
     pairs = _realizable(k)
-    m_ones = mat_ones(k)
     p_i, p_f = ("pi",), ("pf",)
-    polarity: dict = {p_i: 0, p_f: 0}
-    mode_pol = {"s": 0, "mr": 1, "ml": -1}
-    for q in m.states:
-        for i in range(k + 1):
-            for mode, p in mode_pol.items():
-                polarity[(q, i, mode)] = p
-    ts: list[Transition] = []
-    first_copy = _annot_matrix(_annot_bits(ENDMARKER, tuple(1 for _ in range(k))), m_ones)
-    ts.append(Transition(p_i, ENDMARKER, TRUE, NOP, (m.initial, 0, "mr")))
-    ts.append(Transition((m.initial, 0, "mr"), first_copy, TRUE, NOP, (m.initial, 0, "s")))
-    ts.append(Transition((m.final, 0, "s"), first_copy, TRUE, NOP, (m.final, 0, "ml")))
-    ts.append(Transition((m.final, 0, "ml"), ENDMARKER, TRUE, NOP, p_f))
-    # simulation steps
+    first_copy = _annot_matrix(_annot_bits(ENDMARKER, (1,) * k), mat_ones(k))
+    # enter the first copy at its '#' and, at the end, leave it from there
+    fixed = [
+        Transition(p_i, ENDMARKER, TRUE, NOP, (m.initial, 0, "mr")),
+        Transition((m.initial, 0, "mr"), first_copy, TRUE, NOP, (m.initial, 0, "s")),
+        Transition((m.final, 0, "s"), first_copy, TRUE, NOP, (m.final, 0, "ml")),
+        Transition((m.final, 0, "ml"), ENDMARKER, TRUE, NOP, p_f),
+    ]
+    steps: dict = {}
     for t in m.transitions:
         # with a total matrix and i pebbles dropped, the guard admits drop(j)
         # only for j = i + 1 and lift(j) only for j = i with b[i - 1] = 1
-        enabled = guard(t, k)
         height = {"nop": 0, "drop": 1, "lift": -1}[t.op.kind]
         pol2 = m.pol(t.dst)
         if pol2 == 0:
@@ -370,48 +357,45 @@ def decompose(machine: Transducer) -> Transducer:
             mode = "ml"
         else:
             mode = "mr"
-        for i in range(k + 1):
-            for b, mat in pairs:
-                if _upper_marked(b, i) and bits_matrix_satisfy(enabled, mat, b, i):
-                    letter = _annot_matrix(_annot_bits(t.letter, b), mat)
-                    ts.append(Transition(
-                        (t.src, i, "s"), letter, TRUE, NOP, (t.dst, i + height, mode), t.out
-                    ))
-    # head-move scans; both directions treat '#' alike, and off '#' the scan
-    # in the machine's direction stops at the copy whose upper pebbles sit
-    # on the head while the opposite scan passes over
-    for q in m.states:
+        steps.setdefault(t.src, []).append((t, guard(t, k), height, mode))
+
+    def successors(state):
+        yield from (t for t in fixed if t.src == state)
+        if state == p_i:
+            return
+        q, i, mode = state
+        if mode == "s":
+            for t, enabled, height, next_mode in steps.get(q, ()):
+                for b, mat in pairs:
+                    if _upper_marked(b, i) and bits_matrix_satisfy(enabled, mat, b, i):
+                        letter = _annot_matrix(_annot_bits(t.letter, b), mat)
+                        yield Transition(
+                            state, letter, TRUE, NOP, (t.dst, i + height, next_mode), t.out
+                        )
+            return
         pol = m.pol(q)
         if pol == 0:
-            continue
-        for i in range(k + 1):
-            ml, mr, ss = (q, i, "ml"), (q, i, "mr"), (q, i, "s")
-            scan, other = (ml, mr) if pol < 0 else (mr, ml)
-            for sym in sig:
-                for b, mat in pairs:
-                    upper = _upper_marked(b, i)
-                    letter = _annot_matrix(_annot_bits(sym, b), mat)
-                    if sym.is_endmarker():
-                        ts.append(Transition(mr, letter, TRUE, NOP, ml if upper else mr))
-                        ts.append(Transition(ml, letter, TRUE, NOP, ss if upper else ml))
-                    else:
-                        ts.append(Transition(scan, letter, TRUE, NOP, ss if upper else scan))
-                        ts.append(Transition(other, letter, TRUE, NOP, other))
-            ts.append(Transition(mr, ENDMARKER, TRUE, NOP, ml))
-    # prune states unreachable in the transition graph
-    adj: dict = {}
-    for t in ts:
-        adj.setdefault(t.src, []).append(t)
-    reached = {p_i, p_f}
-    queue = deque([p_i])
-    while queue:
-        s = queue.popleft()
-        for t in adj.get(s, []):
-            if t.dst not in reached:
-                reached.add(t.dst)
-                queue.append(t.dst)
-    ts = [t for t in ts if t.src in reached and t.dst in reached]
-    polarity = {s: p for s, p in polarity.items() if s in reached}
+            return
+        # head-move scans; both directions treat '#' alike, and off '#' the scan
+        # in the machine's direction stops at the copy whose upper pebbles sit
+        # on the head while the opposite scan passes over
+        scan = "ml" if pol < 0 else "mr"
+        for sym in sig:
+            if sym.is_endmarker():
+                onward = "ml" if mode == "mr" else "s"
+            else:
+                onward = "s" if mode == scan else None
+            for b, mat in pairs:
+                letter = _annot_matrix(_annot_bits(sym, b), mat)
+                stop = onward is not None and _upper_marked(b, i)
+                yield Transition(state, letter, TRUE, NOP, (q, i, onward) if stop else state)
+        if mode == "mr":
+            yield Transition(state, ENDMARKER, TRUE, NOP, (q, i, "ml"))
+
+    def pol_of(state) -> int:
+        return {"mr": 1, "ml": -1}.get(state[-1], 0)  # "s", p_i and p_f are stationary
+
+    polarity, transitions = explore(p_i, p_f, pol_of, successors)
     return Transducer(
         name=f"simulator({machine.name})",
         k=0,
@@ -420,7 +404,7 @@ def decompose(machine: Transducer) -> Transducer:
         polarity=polarity,
         initial=p_i,
         final=p_f,
-        transitions=tuple(ts),
+        transitions=tuple(transitions),
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pebbletx import cli
 from pebbletx.builtins import modified_squaring, squaring
-from pebbletx.core import PebbleError
+from pebbletx.core import PebbleError, Symbol
 from pebbletx.machinefile import (
     MachineFileError,
     _symbol_from_json,
@@ -151,6 +151,28 @@ def test_malformed_file_is_a_located_error(case, tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["run", str(path), "--input", "ab"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("input_alphabet", None), ("input_alphabet", {"base": None}), ("output_alphabet", None),
+])
+@pytest.mark.parametrize("command", ["decompose", "uniformize"])
+def test_bare_endmarker_in_alphabet_is_a_located_error(command, field, entry, tmp_path, capsys):
+    doc = json.loads((CORPUS / "squaring.ptx").read_text(encoding="utf-8"))
+    doc[field].append(entry)
+    text = json.dumps(doc)
+    with pytest.raises(MachineFileError) as info:
+        parse(text)
+    assert info.value.where == f"{field}[{len(doc[field]) - 1}]"
+    path = tmp_path / "bad.ptx"
+    path.write_text(text)
+    assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_annotated_endmarker_letters_parse():
+    machine = load(CORPUS / "config_enumerator_1.ptx")
+    assert Symbol("#", (1,)) in machine.output_alphabet
 
 
 def test_endmarker_serialized_as_null(squaring_file):

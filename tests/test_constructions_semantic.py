@@ -2,16 +2,29 @@
 re-verified against exhaustive sweeps of their configuration graphs, and the
 wrap transition is exercised in both directions."""
 
+import random
+
 import pytest
 
 from machines import (
     drop_two_then_copy_rest,
+    equality_pair_probe,
+    pick_any_letter,
+    random_machine,
     semantically_deterministic,
     semantically_reverse_deterministic,
+    two_branch_toy,
     words_upto,
 )
-from pebbletx.analysis import is_deterministic, is_reverse_deterministic
-from pebbletx.builtins import copier, iterated_reverse, modified_squaring, squaring
+from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible
+from pebbletx.builtins import (
+    all_prefixes_reversed,
+    copier,
+    iterated_reverse,
+    modified_squaring,
+    squaring,
+    squaring_variant,
+)
 from pebbletx.compose import compose
 from pebbletx.runner import run, semantics
 from pebbletx.transforms import eliminate_equality, reverse_transducer
@@ -133,3 +146,50 @@ def test_double_composition_associativity_on_functions():
         assert semantics(left, u) == semantics(right, u) == semantics(
             compose(f, g), u
         ), u
+
+
+def _explored_outputs():
+    """compose, eliminate_equality and decompose on the builtins, the
+    fixtures and seeded random machines."""
+    sq = squaring("ab")
+    ident = copier("ab")
+    yield compose(sq, squaring(sorted(sq.output_alphabet)))
+    yield compose(modified_squaring("bcd"), iterated_reverse("bcd"))
+    yield compose(all_prefixes_reversed("ab"), iterated_reverse("ab"))
+    machines = [
+        sq, squaring_variant("ab"), modified_squaring("ab"), all_prefixes_reversed("ab"),
+        iterated_reverse("ab"), ident, drop_two_then_copy_rest(), pick_any_letter(),
+        two_branch_toy(), equality_pair_probe(),
+    ]
+    rng = random.Random(5)
+    machines += [random_machine(rng, k=rng.randrange(4)) for _ in range(40)]
+    for machine in machines:
+        yield eliminate_equality(machine)
+        if machine.k >= 1:
+            yield decompose(machine)
+        if is_deterministic(machine)[0] and ident.output_alphabet <= machine.input_alphabet:
+            yield compose(ident, machine)
+        if is_reversible(machine) and machine.output_alphabet <= ident.input_alphabet:
+            yield compose(machine, ident)
+
+
+def test_explored_machines_are_reachable():
+    # every state but final is reachable from initial, no transition leaves
+    # final, and every transition's endpoints are states
+    built = 0
+    for machine in _explored_outputs():
+        built += 1
+        states = machine.states
+        succ: dict = {}
+        for t in machine.transitions:
+            assert t.src in states and t.dst in states, (machine.name, t.render())
+            assert t.src != machine.final, (machine.name, t.render())
+            succ.setdefault(t.src, set()).add(t.dst)
+        reached, todo = {machine.initial}, [machine.initial]
+        while todo:
+            for dst in succ.get(todo.pop(), ()):
+                if dst not in reached:
+                    reached.add(dst)
+                    todo.append(dst)
+        assert states - reached <= {machine.final}, machine.name
+    assert built > 100

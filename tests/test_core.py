@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from machines import brute_force_satisfiable, random_machine
 from pebbletx.core import (
+    ENDMARKER,
     FALSE,
     NOP,
     TRUE,
     Symbol,
     Test,
+    Transition,
     apply_op,
     drop,
     eval_test,
+    explore,
     guard,
     head_eq,
     lift,
@@ -191,3 +194,29 @@ def test_symbol_structural_equality():
     assert Symbol("a", (1,)) != Symbol("a", (0,))
     assert Symbol("#").is_endmarker()
     assert not Symbol("#", (1,)).is_endmarker()
+
+
+def test_explore_is_first_in_first_out():
+    edges = {0: [1, 2], 1: [3, 1], 2: [3], 3: [0, 5], 5: [6]}
+    expanded, pol_calls = [], []
+
+    def successors(state):
+        expanded.append(state)
+        for dst in edges.get(state, ()):
+            yield Transition(state, ENDMARKER, TRUE, NOP, dst)
+
+    def pol_of(state):
+        pol_calls.append(state)
+        return state % 3 - 1
+
+    # final 9 is never reached, final 5 is reached but never expanded
+    for final, order in ((9, [0, 9, 1, 2, 3, 5, 6]), (5, [0, 5, 1, 2, 3])):
+        expanded.clear()
+        pol_calls.clear()
+        polarity, transitions = explore(0, final, pol_of, successors)
+        assert list(polarity) == pol_calls == order
+        assert polarity == {s: s % 3 - 1 for s in order}
+        assert expanded == [s for s in order if s != final]
+        assert [(t.src, t.dst) for t in transitions] == [
+            (s, d) for s in expanded for d in edges.get(s, ())
+        ]

@@ -17,7 +17,7 @@ def _script(name: str):
     return module
 
 
-@pytest.mark.parametrize("name", ["state_growth", "trace_composition"])
+@pytest.mark.parametrize("name", ["construction_digests", "state_growth", "trace_composition"])
 def test_script_main_succeeds(name, capsys):
     assert _script(name).main() == 0
     assert capsys.readouterr().out

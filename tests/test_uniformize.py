@@ -16,7 +16,7 @@ from machines import (
 from pebbletx.analysis import is_deterministic, is_reversible, validate
 from pebbletx.builtins import squaring
 from pebbletx.compose import compose
-from pebbletx.core import HookRequiredError, PebbleError
+from pebbletx.core import ENDMARKER, HookRequiredError, PebbleError, Symbol
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.uniformize import (
     TwoWayTransition,
@@ -478,3 +478,14 @@ def test_uniformize_nondeterministic_equality_machine():
             assert out in relation.outputs, u
         else:
             assert out is None, u
+
+
+def test_endmarker_letter_is_a_pebble_error():
+    letters = [Symbol("a"), ENDMARKER]
+    for build in (build_config_enumerator, build_equality_annotator):
+        with pytest.raises(PebbleError):
+            build(1, letters)
+    machine = drop_two_then_copy_rest()
+    machine = machine.replace(input_alphabet=machine.input_alphabet | {ENDMARKER})
+    with pytest.raises(PebbleError):
+        uniformize_pipeline(machine)
