@@ -8,6 +8,9 @@ build them in.  Run it on two checkouts and diff the outputs to check that
 a refactor left every construction unchanged:
 
     python3 scripts/construction_digests.py > after.txt
+
+Two runs under different ``PYTHONHASHSEED`` values must print the same
+lines; a construction whose output depends on hash order shows as a diff.
 """
 
 import hashlib
@@ -41,7 +44,9 @@ from pebbletx.uniformize import (  # noqa: E402
     build_config_enumerator,
     build_equality_annotator,
     decompose,
+    two_way_to_zero_pebble,
     uniformize_pipeline,
+    zero_pebble_to_two_way,
 )
 
 RANDOM_DRAWS = 200
@@ -89,13 +94,26 @@ def random_constructions(rng: random.Random):
             yield f"{n} compose(draw,copier)", compose(machine, ident)
 
 
+def two_way_round_trip(machine):
+    return two_way_to_zero_pebble(zero_pebble_to_two_way(machine))
+
+
+def combined_digest(named_machines) -> str:
+    combined = hashlib.sha256()
+    for name, machine in named_machines:
+        combined.update(f"{name} {digest(machine)}\n".encode("utf-8"))
+    return combined.hexdigest()
+
+
 def main() -> int:
     for name, machine in constructions():
         print(name, digest(machine))
-    combined = hashlib.sha256()
-    for name, machine in random_constructions(random.Random(3)):
-        combined.update(f"{name} {digest(machine)}\n".encode("utf-8"))
-    print(f"random_machine x{RANDOM_DRAWS}", combined.hexdigest())
+    print(f"random_machine x{RANDOM_DRAWS}", combined_digest(random_constructions(random.Random(3))))
+    for machine in (iterated_reverse("ab"), copier("ab")):
+        print(f"two_way_round_trip({machine.name})", digest(two_way_round_trip(machine)))
+    rng = random.Random(5)
+    draws = ((str(n), two_way_round_trip(random_machine(rng, k=0))) for n in range(RANDOM_DRAWS))
+    print(f"two_way_round_trip random_machine(k=0) x{RANDOM_DRAWS}", combined_digest(draws))
     return 0
 
 

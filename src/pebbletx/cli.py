@@ -119,13 +119,11 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_decompose(args) -> int:
     machine = _load(args.machine)
-    if machine.k < 1:
-        raise _CliFailure(3, "decompose needs a machine with at least one pebble")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    simulator = uniformize.decompose(machine)
     enumerator = uniformize.build_config_enumerator(machine.k, machine.input_alphabet)
     annotator = uniformize.build_equality_annotator(machine.k, machine.input_alphabet)
-    simulator = uniformize.decompose(machine)
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
     _save(enumerator, out / "config_enumerator.ptx")
     _save(annotator, out / "equality_annotator.ptx")
     _save(simulator, out / "simulator.ptx")

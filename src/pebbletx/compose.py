@@ -21,7 +21,11 @@ first machine's n pebbles (the (n+1)(m+1)-1 count at m = 0).
 ``compose_simple`` names that case.
 
 The product is built by ``core.explore`` from the initial sync state, so no
-unreachable product state or gadget chain is ever built.
+unreachable product state or gadget chain is ever built.  The transitions
+out of a product state depend on that state alone: a gadget's end state
+(``liftg0`` or the last ``dropg``) builds its exits from the same pairs of
+a producing and a consuming transition that its sync state built the
+entries from.
 """
 
 from __future__ import annotations
@@ -260,67 +264,48 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
     init = ("sync", tn.initial, sn.initial)
     fin = ("sync", tn.initial, sn.final)
     kinds: dict[Transition, str] = {}
-    # gadget exits registered while processing the owning sync state, which
-    # explore expands before the gadget's end state (first in, first out):
-    # state -> list of (letter, test, target, kind)
-    pending_exits: dict = {}
     all_letters = sorted(tn.input_alphabet) + [ENDMARKER]
+
+    def pairs(q, q2, kind):
+        """(t, t2) with t producing, from q, the letter that t2 reads from q2,
+        for t2 of operation ``kind``."""
+        for t in by_src.get(q, []):
+            if t.out:
+                for t2 in sn.groups("src").get((q2, t.out[0]), ()):
+                    if t2.op.kind == kind:
+                        yield t, t2
+
+    def unzip(frames):
+        return tuple(x for x, _ in frames), tuple(y for _, y in frames)
 
     def process_sync(state):
         q, q2, frames = state[1], state[2], state[3:]
-        xbar = tuple(x for x, _ in frames)
-        ybar = tuple(y for _, y in frames)
+        xbar, ybar = unzip(frames)
         d, k = sum(ybar), len(frames)
-        for t in by_src.get(q, []):
-            if not t.out:
-                continue
-            for t2 in sn.groups("src").get((q2, t.out[0]), ()):
-                psi = guard(t2, m)
-                if t2.op.is_nop():
-                    p2 = sn.pol(t2.dst)
-                    for test in xi(t, q, xbar, ybar, psi):
-                        if p2 > 0:
-                            yield (t.letter, test, t.op.shifted(d, r),
-                                   ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
-                        elif p2 < 0:
-                            yield (t.letter, test, NOP,
-                                   ("sim", q, t2.dst) + frames, t2.out, "tr-b")
-                        else:
-                            yield (t.letter, test, NOP,
-                                   ("sync", q, t2.dst) + frames, t2.out, "tr-c")
-                elif t2.op.kind == "lift":
-                    if t2.op.index != k or k == 0 or xbar[-1] != q:
-                        continue
-                    target = ("sync", q, t2.dst) + frames[:-1]
-                    exit_psi = reverse_guard(t2, m)
-                    # Pin the exact stack size after popping the segment:
-                    # without it, exits of gadgets with different segment
-                    # lengths into the same sync state would be jointly
-                    # reverse-enabled.  The entry test forces this size, so
-                    # nothing is lost.
-                    pin = _stack_window(d - 1, 0, r)
-                    exit_tests = [
-                        x.conjoin(pin) for x in xi(t, q, xbar[:-1], ybar[:-1], exit_psi)
-                    ]
-                    entry = ("liftg", q, q2, 1) + frames
-                    for test in xi(t, q, xbar, ybar, psi):
-                        yield t.letter, test, NOP, entry, t2.out, "lift-a"
-                    exits = pending_exits.setdefault(("liftg0", q, q2) + frames, [])
-                    for test in exit_tests:
-                        exits.append((t.letter, test, target, "lift-b"))
-                else:  # drop
-                    if t2.op.index != k + 1 or t2.op.index > m:
-                        continue
-                    exit_psi = reverse_guard(t2, m)
-                    entry_tests = xi(t, q, xbar, ybar, psi)
-                    for z in range(1, n + 2):
-                        target = ("sync", q, t2.dst) + frames + ((q, z),)
-                        entry = ("dropg", q, q2, z, 1) + frames
-                        for test in entry_tests:
-                            yield t.letter, test, drop(d + z), entry, t2.out, "drop-a"
-                        exits = pending_exits.setdefault(("dropg", q, q2, z, z) + frames, [])
-                        for test in xi(t, q, xbar + (q,), ybar + (z,), exit_psi):
-                            exits.append((t.letter, test, target, "drop-b"))
+        for t, t2 in pairs(q, q2, "nop"):
+            p2 = sn.pol(t2.dst)
+            for test in xi(t, q, xbar, ybar, guard(t2, m)):
+                if p2 > 0:
+                    yield (t.letter, test, t.op.shifted(d, r),
+                           ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
+                elif p2 < 0:
+                    yield (t.letter, test, NOP,
+                           ("sim", q, t2.dst) + frames, t2.out, "tr-b")
+                else:
+                    yield (t.letter, test, NOP,
+                           ("sync", q, t2.dst) + frames, t2.out, "tr-c")
+        for t, t2 in pairs(q, q2, "lift"):
+            if t2.op.index == k and xbar[-1] == q:
+                entry = ("liftg", q, q2, 1) + frames
+                for test in xi(t, q, xbar, ybar, guard(t2, m)):
+                    yield t.letter, test, NOP, entry, t2.out, "lift-a"
+        for t, t2 in pairs(q, q2, "drop"):
+            if t2.op.index == k + 1:
+                entry_tests = xi(t, q, xbar, ybar, guard(t2, m))
+                for z in range(1, n + 2):
+                    entry = ("dropg", q, q2, z, 1) + frames
+                    for test in entry_tests:
+                        yield t.letter, test, drop(d + z), entry, t2.out, "drop-a"
 
     def process_sim(state):
         q, q2, frames = state[1], state[2], state[3:]
@@ -355,9 +340,21 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             else:
                 yield sigma, TRUE, lift(d), ("liftg0", q, q2) + frames, (), "lift-pop"
 
-    def process_exits(state):
-        for letter, test, target, kind in pending_exits.get(state, []):
-            yield letter, test, NOP, target, (), kind
+    def process_lift_exits(state):
+        """Out of ("liftg0", q, q2) + frames, the segment popped: back to the
+        sync state each lift of the pair leads to."""
+        q, q2, frames = state[1], state[2], state[3:]
+        xbar, ybar = unzip(frames)
+        # Pin the exact stack size after popping the segment: without it,
+        # exits of gadgets with different segment lengths into the same sync
+        # state would be jointly reverse-enabled.  The entry test forces this
+        # size, so nothing is lost.
+        pin = _stack_window(sum(ybar) - 1, 0, r)
+        for t, t2 in pairs(q, q2, "lift"):
+            if t2.op.index == len(frames):
+                target = ("sync", q, t2.dst) + frames[:-1]
+                for x in xi(t, q, xbar[:-1], ybar[:-1], reverse_guard(t2, m)):
+                    yield t.letter, x.conjoin(pin), NOP, target, (), "lift-b"
 
     def process_dropg(state):
         q, q2, z, ell, frames = state[1], state[2], state[3], state[4], state[5:]
@@ -370,14 +367,21 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             if ell < z:
                 yield (sigma, Test.of(head_eq(d + ell)), drop(d + z + ell),
                        ("dropg", q, q2, z, ell + 1) + frames, (), "drop-push")
-        if ell == z:
-            yield from process_exits(state)
+        if ell < z:
+            return
+        # the segment is pushed: back to the sync state each drop leads to
+        xbar, ybar = unzip(frames)
+        for t, t2 in pairs(q, q2, "drop"):
+            if t2.op.index == len(frames) + 1:
+                target = ("sync", q, t2.dst) + frames + ((q, z),)
+                for test in xi(t, q, xbar + (q,), ybar + (z,), reverse_guard(t2, m)):
+                    yield t.letter, test, NOP, target, (), "drop-b"
 
     handlers = {
         "sync": process_sync,
         "sim": process_sim,
         "liftg": process_liftg,
-        "liftg0": process_exits,
+        "liftg0": process_lift_exits,
         "dropg": process_dropg,
     }
 

@@ -45,6 +45,10 @@ class HasPebblesError(PebbleError):
     """An operation required a pebbleless machine."""
 
 
+class NoPebblesError(PebbleError):
+    """An operation required a machine with at least one pebble."""
+
+
 class HookRequiredError(PebbleError):
     """Uniformization needs an external hook for this machine."""
 
@@ -146,8 +150,9 @@ class Atom:
         if self.kind not in ("h", "p"):
             raise ValueError(f"bad atom kind {self.kind!r}")
         if self.kind == "p" and self.i > self.j:
-            object.__setattr__(self, "i", self.j)
-            object.__setattr__(self, "j", max(self.i, self.j))
+            i, j = self.i, self.j
+            object.__setattr__(self, "i", j)
+            object.__setattr__(self, "j", i)
 
     def negate(self) -> "Atom":
         return Atom(self.kind, self.i, self.j, not self.negated)
@@ -170,8 +175,7 @@ def head_eq(i: int, negated: bool = False) -> Atom:
 
 
 def peb_eq(i: int, j: int, negated: bool = False) -> Atom:
-    lo, hi = min(i, j), max(i, j)
-    return Atom("p", lo, hi, negated)
+    return Atom("p", i, j, negated)
 
 
 @dataclass(frozen=True)
@@ -550,11 +554,15 @@ class Transducer:
 
 
 def explore(initial, final, pol_of, successors) -> tuple[dict, list]:
-    """The states and transitions reachable from ``initial``, expanded first
-    in, first out: ``successors(state)`` yields the transitions leaving
-    ``state``, and ``pol_of`` gives each new state its polarity.  ``final``
-    is a state even when unreached, and is never expanded.  Returns the
-    polarity dict and the transitions, both in discovery order."""
+    """The states and transitions reachable from ``initial``:
+    ``successors(state)`` yields the transitions leaving ``state``, and
+    ``pol_of`` gives each new state its polarity.  ``final`` is a state even
+    when unreached, and is never expanded.  Returns the polarity dict and
+    the transitions, both in discovery order.
+
+    States are expanded first in, first out, but the visit order decides
+    only the discovery order: every caller's transitions out of a state are
+    a function of that state alone, so any order builds the same machine."""
     polarity = {initial: pol_of(initial)}
     if final not in polarity:
         polarity[final] = pol_of(final)

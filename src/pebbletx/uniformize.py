@@ -24,6 +24,7 @@ from .core import (
     TRUE,
     HasPebblesError,
     HookRequiredError,
+    NoPebblesError,
     NotDeterministicError,
     NotReversibleError,
     Symbol,
@@ -94,7 +95,7 @@ def build_config_enumerator(k: int, sigma) -> Transducer:
     duplicated transitions stay disjoint.
     """
     if k < 1:
-        raise ValueError("the configuration enumerator needs k >= 1")
+        raise NoPebblesError("the configuration enumerator needs k >= 1")
     sig = sorted(alphabet_of(sigma))
 
     def entry(j):
@@ -235,7 +236,7 @@ def build_equality_annotator(k: int, sigma) -> Transducer:
     annotations per letter.
     """
     if k < 1:
-        raise ValueError("the equality annotator needs k >= 1")
+        raise NoPebblesError("the equality annotator needs k >= 1")
     sig = sorted(alphabet_of(sigma))
     all_bits = list(product((0, 1), repeat=k))
     relations = _equivalences(k)
@@ -329,7 +330,7 @@ def decompose(machine: Transducer) -> Transducer:
     """
     k = machine.k
     if k < 1:
-        raise ValueError("decompose expects a machine with at least one pebble")
+        raise NoPebblesError("decompose expects a machine with at least one pebble")
     needs_split = any(
         not t.op.is_nop() and machine.pol(t.dst) != 0 for t in machine.transitions
     )
@@ -537,100 +538,75 @@ def two_way_is_reversible(t2: TwoWayTransducer) -> bool:
 def zero_pebble_to_two_way(machine: Transducer) -> TwoWayTransducer:
     """Equivalent two-way transducer with O(n) states.
 
-    Each state gets a right-reading copy; stationary and left-moving targets
-    are simulated with small backward gadgets, and wrapping across ``#``
-    becomes a sweep to the opposite endmarker.  Reversibility is preserved.
+    A forward state ("r", q) simulates q on the letter to its right, reading
+    '#' as the right marker.  A move into a state p enters the gadget that
+    puts the head before the letter p reads: ("r", p) itself when p moves
+    right, except off '#', where ("-", p) first sweeps back to the left
+    marker; ("stay", p) when p stays; and ("l1", p), ("l2", p) when p moves
+    left, with ("+", p) sweeping on to the right marker when the step left
+    crosses '#'.  ``core.explore`` builds the states reachable from ("i",),
+    each forward or backward by the polarity it returns.  Reversibility is
+    preserved.
     """
     if machine.k != 0:
         raise HasPebblesError("two-way conversion expects a pebbleless machine")
     q_i, q_f = machine.initial, machine.final
-
-    def right(q):
-        return ("r", q)
-
-    def stay(q):
-        return ("stay", q)
-
-    def left1(q):
-        return ("l1", q)
-
-    def left2(q):
-        return ("l2", q)
-
-    def plus(q):
-        return ("+", q)
-
-    def minus(q):
-        return ("-", q)
-
     s_i, s_f = ("i",), ("f",)
-    forward = {s_i, s_f} | {right(q) for q in machine.states}
-    backward = set()
     sig = sorted(machine.input_alphabet)
-    ts: list[TwoWayTransition] = []
-    ts.append(TwoWayTransition(s_i, LMARK, right(q_i)))
-    for a in sig:
-        ts.append(TwoWayTransition(right(q_i), a, right(q_i)))
-
-    def target_for(p, reading_sharp):
-        """Entry point of the gadget simulating a move into state p."""
-        pol = machine.pol(p)
-        if pol > 0:
-            return minus(p) if reading_sharp else right(p)
-        if pol == 0:
-            return s_f if p == q_f else stay(p)
-        return left1(p)
-
-    used_stay, used_left, used_plus, used_minus = set(), set(), set(), set()
+    # a run reads only '#' from the initial state and into the final one
+    leaving: dict = {}
     for t in machine.transitions:
-        # transitions that can never fire: non-'#' reads from the initial
-        # state, and non-'#' entries into the final state (head would not be
-        # on the endmarker)
-        if t.src == q_i and not t.letter.is_endmarker():
-            continue
-        if t.dst == q_f and not t.letter.is_endmarker():
-            continue
-        sharp = t.letter.is_endmarker()
-        dst = target_for(t.dst, sharp)
-        letter = RMARK if sharp else t.letter
-        ts.append(TwoWayTransition(right(t.src), letter, dst, t.out))
-        pol = machine.pol(t.dst)
-        if pol == 0 and t.dst != q_f:
-            used_stay.add(t.dst)
-        elif pol < 0:
-            used_left.add(t.dst)
-        elif pol > 0 and sharp:
-            used_minus.add(t.dst)
-    for q in used_stay:
-        backward.add(stay(q))
-        for b in sig + [LMARK]:
-            ts.append(TwoWayTransition(stay(q), b, right(q)))
-    for q in used_left:
-        backward.add(left1(q))
-        backward.add(left2(q))
-        forward.add(plus(q))
-        used_plus.add(q)
-        for b in sig:
-            ts.append(TwoWayTransition(left1(q), b, left2(q)))
-            ts.append(TwoWayTransition(plus(q), b, plus(q)))
-        for b in sig + [LMARK]:
-            ts.append(TwoWayTransition(left2(q), b, right(q)))
-        ts.append(TwoWayTransition(left1(q), LMARK, plus(q)))
-        ts.append(TwoWayTransition(plus(q), RMARK, left2(q)))
-    for q in used_minus:
-        backward.add(minus(q))
-        for b in sig:
-            ts.append(TwoWayTransition(minus(q), b, minus(q)))
-        ts.append(TwoWayTransition(minus(q), LMARK, right(q)))
+        if t.letter.is_endmarker() or (t.src != q_i and t.dst != q_f):
+            leaving.setdefault(t.src, []).append(t)
+    # gadget tag -> (tag after a letter of sig, the marker read, tag after it)
+    gadgets = {
+        "stay": ("r", LMARK, "r"),
+        "l1": ("l2", LMARK, "+"),
+        "l2": ("r", LMARK, "r"),
+        "+": ("+", RMARK, "l2"),
+        "-": ("-", LMARK, "r"),
+    }
+
+    def entry(t):
+        """The gadget state simulating t's move into t.dst."""
+        p, pol = t.dst, machine.pol(t.dst)
+        if pol > 0:
+            return ("-" if t.letter.is_endmarker() else "r", p)
+        if pol == 0:
+            return s_f if p == q_f else ("stay", p)
+        return ("l1", p)
+
+    def successors(state):
+        tag = state[0]
+        if tag == "i":
+            yield TwoWayTransition(s_i, LMARK, ("r", q_i))
+        elif tag == "r":
+            q = state[1]
+            if q == q_i:
+                # skip to the right marker, which stands for '#'
+                yield from (TwoWayTransition(state, a, state) for a in sig)
+            for t in leaving.get(q, ()):
+                letter = RMARK if t.letter.is_endmarker() else t.letter
+                yield TwoWayTransition(state, letter, entry(t), t.out)
+        else:
+            on_letter, marker, on_marker = gadgets[tag]
+            for a in sig:
+                yield TwoWayTransition(state, a, (on_letter, state[1]))
+            yield TwoWayTransition(state, marker, (on_marker, state[1]))
+
+    def pol_of(state) -> int:
+        return -1 if state[0] in ("stay", "l1", "l2", "-") else 1
+
+    polarity, transitions = explore(s_i, s_f, pol_of, successors)
     return TwoWayTransducer(
         name=f"two_way({machine.name})",
-        forward=frozenset(forward),
-        backward=frozenset(backward),
+        forward=frozenset(s for s, pol in polarity.items() if pol > 0),
+        backward=frozenset(s for s, pol in polarity.items() if pol < 0),
         input_alphabet=machine.input_alphabet,
         output_alphabet=machine.output_alphabet,
         initial=s_i,
         final=s_f,
-        transitions=tuple(ts),
+        transitions=tuple(transitions),
     )
 
 

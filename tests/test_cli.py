@@ -305,6 +305,15 @@ def test_decompose_command(tmp_path, squaring_file):
     assert w == semantics(squaring("ab"), "ab")
 
 
+def test_decompose_command_pebbleless_machine(tmp_path, capsys):
+    out = tmp_path / "parts"
+    assert cli.main(["decompose", str(CORPUS / "itrev.ptx"), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NoPebblesError:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_uniformize_command(tmp_path, squaring_file, capsys):
     out = tmp_path / "uni.ptx"
     assert cli.main(["uniformize", squaring_file, "-o", str(out)]) == 0

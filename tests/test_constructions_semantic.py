@@ -26,9 +26,16 @@ from pebbletx.builtins import (
     squaring_variant,
 )
 from pebbletx.compose import compose
+from pebbletx.machinefile import serialize
 from pebbletx.runner import run, semantics
 from pebbletx.transforms import eliminate_equality, reverse_transducer
-from pebbletx.uniformize import build_config_enumerator, build_equality_annotator, decompose
+from pebbletx.uniformize import (
+    build_config_enumerator,
+    build_equality_annotator,
+    decompose,
+    two_way_to_zero_pebble,
+    zero_pebble_to_two_way,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +156,8 @@ def test_double_composition_associativity_on_functions():
 
 
 def _explored_outputs():
-    """compose, eliminate_equality and decompose on the builtins, the
-    fixtures and seeded random machines."""
+    """compose, eliminate_equality, decompose and the two-way round trip on
+    the builtins, the fixtures and seeded random machines."""
     sq = squaring("ab")
     ident = copier("ab")
     yield compose(sq, squaring(sorted(sq.output_alphabet)))
@@ -163,10 +170,13 @@ def _explored_outputs():
     ]
     rng = random.Random(5)
     machines += [random_machine(rng, k=rng.randrange(4)) for _ in range(40)]
+    machines += [random_machine(rng, k=0) for _ in range(20)]
     for machine in machines:
         yield eliminate_equality(machine)
         if machine.k >= 1:
             yield decompose(machine)
+        else:
+            yield two_way_to_zero_pebble(zero_pebble_to_two_way(machine))
         if is_deterministic(machine)[0] and ident.output_alphabet <= machine.input_alphabet:
             yield compose(ident, machine)
         if is_reversible(machine) and machine.output_alphabet <= ident.input_alphabet:
@@ -193,3 +203,52 @@ def test_explored_machines_are_reachable():
                     todo.append(dst)
         assert states - reached <= {machine.final}, machine.name
     assert built > 100
+
+
+def _last_in_first_out_explore(initial, final, pol_of, successors):
+    """core.explore with a stack for its queue."""
+    polarity = {initial: pol_of(initial)}
+    if final not in polarity:
+        polarity[final] = pol_of(final)
+    transitions: list = []
+    stack = [initial]
+    while stack:
+        for t in successors(stack.pop()):
+            transitions.append(t)
+            if t.dst not in polarity:
+                polarity[t.dst] = pol_of(t.dst)
+                stack.append(t.dst)
+    return polarity, transitions
+
+
+def _built_by_explore():
+    """(serialized machine, compose kinds or None) for each caller of explore."""
+    sq = squaring("ab")
+    ident = copier("ab")
+    composed = [
+        compose(sq, squaring(sorted(sq.output_alphabet))),
+        compose(modified_squaring("bcd"), iterated_reverse("bcd")),
+        compose(sq, copier(sorted(sq.output_alphabet))),
+    ]
+    rng = random.Random(3)
+    machines = [random_machine(rng, k=rng.randrange(4)) for _ in range(30)]
+    composed += [compose(ident, m) for m in machines if is_deterministic(m)[0]]
+    composed += [compose(m, ident) for m in machines if is_reversible(m)]
+    built = [(serialize(c), c.metadata["kinds"]) for c in composed]
+    for machine in [sq, drop_two_then_copy_rest(), equality_pair_probe()] + machines:
+        built.append((serialize(eliminate_equality(machine)), None))
+        if machine.k >= 1:
+            built.append((serialize(decompose(machine)), None))
+    for machine in [iterated_reverse("ab"), ident] + [m for m in machines if m.k == 0]:
+        built.append((serialize(two_way_to_zero_pebble(zero_pebble_to_two_way(machine))), None))
+    return built
+
+
+def test_explore_visit_order_does_not_change_what_is_built(monkeypatch):
+    # every state's transitions depend on that state alone, so expanding
+    # last in first out builds the same machines, tagged with the same kinds
+    first_in_first_out = _built_by_explore()
+    for module in ("compose", "transforms", "uniformize"):
+        monkeypatch.setattr(f"pebbletx.{module}.explore", _last_in_first_out_explore)
+    assert _built_by_explore() == first_in_first_out
+    assert len(first_in_first_out) > 40

@@ -11,6 +11,7 @@ from pebbletx.core import (
     FALSE,
     NOP,
     TRUE,
+    Atom,
     Symbol,
     Test,
     Transition,
@@ -53,6 +54,16 @@ def test_eval_test_examples():
     assert eval_test(Test.of(head_eq(1)), (3,), 3)
     assert not eval_test(Test.of(peb_eq(1, 1)), (), 0)
     assert eval_test(Test.of(head_eq(2, negated=True)), (1,), 1)
+
+
+def test_pebble_atom_orders_its_indices():
+    # Atom("p", j, i) with j > i swaps its indices, never collapsing to p_i = p_i
+    for i, j, neg in itertools.product(range(1, 4), range(1, 4), (False, True)):
+        atom = Atom("p", j, i, neg)
+        assert atom == peb_eq(i, j, neg)
+        assert (atom.i, atom.j) == (min(i, j), max(i, j))
+        for peb in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, 2)):
+            assert eval_test(Test.of(atom), peb, 0) == ((peb[i - 1] == peb[j - 1]) != neg)
 
 
 def test_eval_test_false_constant():

@@ -14,9 +14,9 @@ from machines import (
     words_upto,
 )
 from pebbletx.analysis import is_deterministic, is_reversible, validate
-from pebbletx.builtins import squaring
+from pebbletx.builtins import copier, squaring
 from pebbletx.compose import compose
-from pebbletx.core import ENDMARKER, HookRequiredError, PebbleError, Symbol
+from pebbletx.core import ENDMARKER, HookRequiredError, NoPebblesError, PebbleError, Symbol
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.uniformize import (
     TwoWayTransition,
@@ -369,6 +369,41 @@ def test_two_way_marker_transitions_do_not_overlap(itrev):
     back = two_way_to_zero_pebble(t2)
     # after merging both markers into '#', determinism survives
     assert is_deterministic(back)[0]
+
+
+def test_two_way_bridge_on_generated_machines():
+    # deterministic draws run alike on the two-way machine, on its round
+    # trip and on the draw itself; reversible draws stay reversible
+    rng = random.Random(5)
+    deterministic = reversible = 0
+    for _ in range(400):
+        machine = random_machine(rng, k=0)
+        t2 = zero_pebble_to_two_way(machine)
+        assert two_way_violations(t2) == []
+        back = two_way_to_zero_pebble(t2)
+        if is_reversible(machine):
+            reversible += 1
+            assert two_way_is_reversible(t2) and is_reversible(back)
+        if not is_deterministic(machine)[0]:
+            continue
+        deterministic += 1
+        for u in words_upto("ab", 4):
+            want = semantics(machine, u)
+            verdict, out = run_two_way(t2, u)
+            assert (out if verdict == "accept" else None) == want, (machine.name, u)
+            assert semantics(back, u) == want, (machine.name, u)
+    assert deterministic > 50 and reversible > 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_config_enumerator(0, "ab"),
+    lambda: build_equality_annotator(0, "ab"),
+    lambda: decompose(copier("ab")),
+])
+def test_zero_pebbles_is_a_pebble_error(build):
+    with pytest.raises(NoPebblesError) as info:
+        build()
+    assert isinstance(info.value, PebbleError)
 
 
 def test_two_way_rejects_pebbled_machines(sq):
