@@ -7,8 +7,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pebbletx import builtins  # noqa: E402
+from pebbletx.decompose import build_config_enumerator, build_equality_annotator  # noqa: E402
 from pebbletx.machinefile import save  # noqa: E402
-from pebbletx.uniformize import build_config_enumerator, build_equality_annotator  # noqa: E402
 
 FILES = {
     "squaring.ptx": lambda: builtins.squaring("ab"),

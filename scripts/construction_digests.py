@@ -38,16 +38,15 @@ from pebbletx.builtins import (  # noqa: E402
     squaring,
 )
 from pebbletx.compose import compose  # noqa: E402
-from pebbletx.machinefile import serialize  # noqa: E402
-from pebbletx.transforms import eliminate_equality  # noqa: E402
-from pebbletx.uniformize import (  # noqa: E402
+from pebbletx.decompose import (  # noqa: E402
     build_config_enumerator,
     build_equality_annotator,
     decompose,
-    two_way_to_zero_pebble,
-    uniformize_pipeline,
-    zero_pebble_to_two_way,
 )
+from pebbletx.machinefile import serialize  # noqa: E402
+from pebbletx.transforms import eliminate_equality  # noqa: E402
+from pebbletx.twoway import two_way_to_zero_pebble, zero_pebble_to_two_way  # noqa: E402
+from pebbletx.uniformize import uniformize_pipeline  # noqa: E402
 
 RANDOM_DRAWS = 200
 

@@ -15,12 +15,12 @@ from pebbletx.builtins import (  # noqa: E402
     squaring,
 )
 from pebbletx.compose import compose  # noqa: E402
-from pebbletx.transforms import eliminate_equality, separate_drop_lift_moves  # noqa: E402
-from pebbletx.uniformize import (  # noqa: E402
+from pebbletx.decompose import (  # noqa: E402
     build_config_enumerator,
     build_equality_annotator,
     decompose,
 )
+from pebbletx.transforms import eliminate_equality, separate_drop_lift_moves  # noqa: E402
 
 
 def bell(n):

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import analysis, builtins as builtin_machines, machinefile, transforms, uniformize
 from .compose import compose
 from .core import PebbleError
+from .decompose import build_config_enumerator, build_equality_annotator, decompose
 from .machinefile import MachineFileError
 from .runner import run, semantics
 
@@ -119,9 +120,9 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_decompose(args) -> int:
     machine = _load(args.machine)
-    simulator = uniformize.decompose(machine)
-    enumerator = uniformize.build_config_enumerator(machine.k, machine.input_alphabet)
-    annotator = uniformize.build_equality_annotator(machine.k, machine.input_alphabet)
+    simulator = decompose(machine)
+    enumerator = build_config_enumerator(machine.k, machine.input_alphabet)
+    annotator = build_equality_annotator(machine.k, machine.input_alphabet)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     _save(enumerator, out / "config_enumerator.ptx")

@@ -149,6 +149,8 @@ class Atom:
     def __post_init__(self) -> None:
         if self.kind not in ("h", "p"):
             raise ValueError(f"bad atom kind {self.kind!r}")
+        if self.i < 1 or (self.kind == "p" and self.j < 1):
+            raise PebbleIndexError(f"pebble indices start at 1: {self.render()}")
         if self.kind == "p" and self.i > self.j:
             i, j = self.i, self.j
             object.__setattr__(self, "i", j)
@@ -404,50 +406,37 @@ def eval_test(t: Test, peb: tuple[int, ...], h: int) -> bool:
 def satisfiable(t: Test, k: int) -> bool:
     """Is there a word, stack (size <= k) and head satisfying ``t``?
 
-    Enumerates the stack size; positive atoms touching absent pebbles reject
-    the size, positive equalities are merged with a union-find over
+    Only one stack size s needs checking: the largest pebble index of a
+    positive atom.  A smaller stack lacks a pebble a positive atom needs,
+    and a larger one keeps the same positive atoms while more negated atoms
+    apply.  Positive equalities are merged with a union-find over
     {h, p_1..p_s}, and a negated atom inside one class rejects.  Any
     remaining family of classes is realizable on a long enough word.
     """
     if t.false:
         return False
-    for s in range(k + 1):
-        # nodes: 0 = head, 1..s = pebbles
-        parent = list(range(s + 1))
+    s = max((a.max_index() for a in t.atoms if not a.negated), default=0)
+    if s > k:
+        return False
+    parent = list(range(s + 1))  # 0 = head, 1..s = pebbles
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        ok = True
-        for a in t.atoms:
-            if a.negated:
-                continue
-            if a.max_index() > s:
-                ok = False
-                break
-            if a.kind == "h":
-                parent[find(0)] = find(a.i)
-            else:
-                parent[find(a.i)] = find(a.j)
-        if not ok:
-            continue
-        for a in t.atoms:
-            if not a.negated:
-                continue
-            if a.kind == "h":
-                if a.i <= s and find(0) == find(a.i):
-                    ok = False
-                    break
-            else:
-                if a.j <= s and find(a.i) == find(a.j):
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+    def ends(a: Atom) -> tuple[int, int]:
+        return (0 if a.kind == "h" else a.i), a.max_index()
+
+    for a in t.atoms:
+        if not a.negated:
+            x, y = ends(a)
+            parent[find(x)] = find(y)
+    return all(
+        find(x) != find(y)
+        for x, y in (ends(a) for a in t.atoms if a.negated and a.max_index() <= s)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,16 @@ __all__ = [
     "split_outputs",
     "ensure_full_read",
     "separate_drop_lift_moves",
+    "mat_of_bits",
     "mat_zero",
     "mat_ones",
+    "mat_or",
+    "mat_minus",
+    "mat_disjoint",
     "basic_consistent",
+    "consistent_bits",
     "bits_matrix_satisfy",
+    "bits_test",
     "update_matrix",
 ]
 
@@ -83,12 +89,29 @@ def reverse_transducer(machine: Transducer) -> Transducer:
 # Equality-test elimination (matrix abstraction)
 
 
+def mat_of_bits(b: Bits) -> Matrix:
+    """The class of the pebbles b marks: M[i][j] = b[i] & b[j]."""
+    return tuple(tuple(bi & bj for bj in b) for bi in b)
+
+
 def mat_zero(k: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(k)) for _ in range(k))
+    return mat_of_bits((0,) * k)
 
 
 def mat_ones(k: int) -> Matrix:
-    return tuple(tuple(1 for _ in range(k)) for _ in range(k))
+    return mat_of_bits((1,) * k)
+
+
+def mat_or(m1: Matrix, m2: Matrix) -> Matrix:
+    return tuple(tuple(a | b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
+
+
+def mat_minus(m1: Matrix, m2: Matrix) -> Matrix:
+    return tuple(tuple(a & (1 - b) for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
+
+
+def mat_disjoint(m1: Matrix, m2: Matrix) -> bool:
+    return all(not (a & b) for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2))
 
 
 def phi1(peb: tuple[int, ...], k: int) -> Matrix:
@@ -148,7 +171,7 @@ def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> boo
     return True
 
 
-def _consistent_bits(alpha: Matrix) -> list[Bits]:
+def consistent_bits(alpha: Matrix) -> list[Bits]:
     """The b with ``basic_consistent(alpha, b)``, in ascending order, for
     alpha an equivalence on the dropped pebbles: b marks no pebble or
     exactly one class of alpha, and the rows of alpha are those classes."""
@@ -156,30 +179,20 @@ def _consistent_bits(alpha: Matrix) -> list[Bits]:
 
 
 def update_matrix(op: PebbleOp, alpha: Matrix, b: Bits) -> Matrix:
-    """The abstraction of the stack after executing op under bit vector b."""
-    k = len(b)
+    """The abstraction of the stack after executing op under bit vector b:
+    the first n - 1 pebbles keep their classes, and drop(n) adds pebble n to
+    the class of the pebbles on the head."""
     if op.is_nop():
         return alpha
-    n = op.index
-    rows = [list(row) for row in alpha]
-    if op.kind == "drop":
-        for i in range(k):
-            for j in range(k):
-                if i >= n or j >= n:
-                    rows[i][j] = 0
-        rows[n - 1][n - 1] = 1
-        for j in range(n - 1):
-            if b[j]:
-                rows[n - 1][j] = rows[j][n - 1] = 1
-    else:
-        for i in range(k):
-            for j in range(k):
-                if i >= n - 1 or j >= n - 1:
-                    rows[i][j] = 0
-    return tuple(tuple(row) for row in rows)
+    n, k = op.index, len(b)
+    gone = (0,) * (k - n + 1)
+    kept = tuple(row[: n - 1] + gone for row in alpha[: n - 1]) + ((0,) * k,) * len(gone)
+    if op.kind == "lift":
+        return kept
+    return mat_or(kept, mat_of_bits(b[: n - 1] + (1,) + gone[1:]))
 
 
-def _bits_test(b: Bits) -> Test:
+def bits_test(b: Bits) -> Test:
     return Test.of(*(head_eq(i + 1, negated=not bit) for i, bit in enumerate(b)))
 
 
@@ -201,12 +214,12 @@ def eliminate_equality(machine: Transducer) -> Transducer:
 
     def successors(state):
         q, alpha = state
-        candidates = _consistent_bits(alpha)
+        candidates = consistent_bits(alpha)
         for t, enabled in by_src.get(q, ()):
             for b in candidates:
                 if bits_matrix_satisfy(enabled, alpha, b, k):
                     target = (t.dst, update_matrix(t.op, alpha, b))
-                    yield Transition(state, t.letter, _bits_test(b), t.op, target, t.out)
+                    yield Transition(state, t.letter, bits_test(b), t.op, target, t.out)
 
     def pol_of(state) -> int:
         return 0 if state in (start, final) else machine.pol(state[0])

@@ -45,16 +45,11 @@ from pebbletx.core import (
     satisfiable,
     test_of_op,
 )
+from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.transforms import eliminate_equality, reverse_transducer
-from pebbletx.uniformize import (
-    build_config_enumerator,
-    build_equality_annotator,
-    decompose,
-    two_way_to_zero_pebble,
-    uniformize_pipeline,
-    zero_pebble_to_two_way,
-)
+from pebbletx.twoway import two_way_to_zero_pebble, zero_pebble_to_two_way
+from pebbletx.uniformize import uniformize_pipeline
 
 test_of_op.__test__ = False
 

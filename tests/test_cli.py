@@ -70,6 +70,15 @@ def test_parse_bad_atom_index():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("atom", [{"kind": "head", "i": 0}, {"kind": "peb", "i": 0, "j": 1}])
+def test_parse_atom_index_below_one_is_located(atom):
+    doc = json.loads(serialize(squaring("ab")))
+    doc["transitions"][3]["test"] = [atom]
+    with pytest.raises(MachineFileError, match="IndexOutOfRange") as info:
+        parse(json.dumps(doc))
+    assert "transitions[3]" in info.value.where
+
+
 def test_parse_rejects_unknown_fields():
     doc = json.loads(serialize(squaring("ab")))
     doc["flavour"] = "strawberry"

@@ -26,16 +26,11 @@ from pebbletx.builtins import (
     squaring_variant,
 )
 from pebbletx.compose import compose
+from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.machinefile import serialize
 from pebbletx.runner import run, semantics
 from pebbletx.transforms import eliminate_equality, reverse_transducer
-from pebbletx.uniformize import (
-    build_config_enumerator,
-    build_equality_annotator,
-    decompose,
-    two_way_to_zero_pebble,
-    zero_pebble_to_two_way,
-)
+from pebbletx.twoway import two_way_to_zero_pebble, zero_pebble_to_two_way
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +236,7 @@ def _built_by_explore():
             built.append((serialize(decompose(machine)), None))
     for machine in [iterated_reverse("ab"), ident] + [m for m in machines if m.k == 0]:
         built.append((serialize(two_way_to_zero_pebble(zero_pebble_to_two_way(machine))), None))
+    built += [(serialize(build_config_enumerator(k, "ab")), None) for k in (1, 2, 3)]
     return built
 
 
@@ -248,7 +244,7 @@ def test_explore_visit_order_does_not_change_what_is_built(monkeypatch):
     # every state's transitions depend on that state alone, so expanding
     # last in first out builds the same machines, tagged with the same kinds
     first_in_first_out = _built_by_explore()
-    for module in ("compose", "transforms", "uniformize"):
+    for module in ("compose", "transforms", "decompose", "twoway"):
         monkeypatch.setattr(f"pebbletx.{module}.explore", _last_in_first_out_explore)
     assert _built_by_explore() == first_in_first_out
     assert len(first_in_first_out) > 40

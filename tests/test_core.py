@@ -12,6 +12,7 @@ from pebbletx.core import (
     NOP,
     TRUE,
     Atom,
+    PebbleError,
     Symbol,
     Test,
     Transition,
@@ -197,6 +198,13 @@ def test_test_canonical_form():
     assert Test.of(a, b, a) == Test.of(b, a)
     # pebble atoms are stored with i <= j
     assert peb_eq(2, 1) == peb_eq(1, 2)
+
+
+def test_atom_pebble_indices_start_at_one():
+    # eval_atom reads peb[i - 1], so index 0 would read the top of the stack
+    for make in (lambda: head_eq(0), lambda: head_eq(-1), lambda: peb_eq(0, 1)):
+        with pytest.raises(PebbleError):
+            make()
 
 
 def test_symbol_structural_equality():

@@ -26,6 +26,7 @@ from pebbletx.core import (
     drop,
     word_symbols,
 )
+from pebbletx.decompose import build_config_enumerator, build_equality_annotator
 from pebbletx.runner import (
     NondeterministicChoiceError,
     default_budget,
@@ -37,7 +38,6 @@ from pebbletx.runner import (
     step,
     step_back,
 )
-from pebbletx.uniformize import build_config_enumerator, build_equality_annotator
 
 
 def _t0(machine):

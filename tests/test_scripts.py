@@ -10,8 +10,8 @@ from pebbletx.machinefile import serialize
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _script(name: str):
-    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
+def _script(name: str, directory: str = "scripts"):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,3 +28,11 @@ def test_build_corpus_table_matches_corpus():
     assert len(files) == 8
     for name, ctor in files.items():
         assert (ROOT / "corpus" / name).read_text(encoding="utf-8") == serialize(ctor()), name
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer wraps these by name; tracing.py imports only the
+    # standard library, so it loads without the benchmark's other modules
+    for module, function, _, _ in _script("tracing", "perfbench").TRACED:
+        resolved = getattr(importlib.import_module(f"pebbletx.{module}"), function, None)
+        assert callable(resolved), (module, function)

@@ -26,8 +26,8 @@ from pebbletx.core import (
 )
 from pebbletx.runner import enumerate_runs, run, semantics, step
 from pebbletx.transforms import (
-    _consistent_bits,
     basic_consistent,
+    consistent_bits,
     eliminate_equality,
     ensure_full_read,
     phi1,
@@ -180,7 +180,7 @@ def test_consistent_bits_are_the_basic_consistent_vectors():
                 alpha = phi1(peb, k)
                 want = [b for b in itertools.product((0, 1), repeat=k)
                         if basic_consistent(alpha, b)]
-                assert _consistent_bits(alpha) == want, alpha
+                assert consistent_bits(alpha) == want, alpha
 
 
 def test_eliminate_equality_on_basic_machine(sq):

@@ -17,22 +17,19 @@ from pebbletx.analysis import is_deterministic, is_reversible, validate
 from pebbletx.builtins import copier, squaring
 from pebbletx.compose import compose
 from pebbletx.core import ENDMARKER, HookRequiredError, NoPebblesError, PebbleError, Symbol
+from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.runner import enumerate_runs, run, semantics
-from pebbletx.uniformize import (
+from pebbletx.twoway import (
     TwoWayTransition,
-    brute_force_hook,
-    build_config_enumerator,
-    build_equality_annotator,
-    decompose,
     run_two_way,
     two_way_is_deterministic,
     two_way_is_reverse_deterministic,
     two_way_is_reversible,
     two_way_to_zero_pebble,
     two_way_violations,
-    uniformize_pipeline,
     zero_pebble_to_two_way,
 )
+from pebbletx.uniformize import brute_force_hook, uniformize_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +359,21 @@ def test_two_way_nondeterminism_is_a_pebble_error(ident):
     assert not two_way_is_deterministic(nondet)
     with pytest.raises(PebbleError):
         run_two_way(nondet, "ab")
+
+
+def test_two_way_run_off_the_left_marker_rejects(ident):
+    # a backward state at the left end has no letter to its left; a machine
+    # that breaks the marker convention gets there and must be rejected
+    t2 = zero_pebble_to_two_way(ident)
+    first = next(t for t in t2.transitions if t.src == t2.initial)
+    back = next(iter(t2.backward))
+    wrong = TwoWayTransition(first.src, first.letter, back)
+    bad = dataclasses.replace(
+        t2, transitions=tuple(t for t in t2.transitions if t != first) + (wrong,)
+    )
+    assert two_way_violations(bad)
+    for u in ["", "a", "ab", "ba"]:
+        assert run_two_way(bad, u) == ("reject", None), u
 
 
 def test_two_way_marker_transitions_do_not_overlap(itrev):
