@@ -11,6 +11,15 @@ a refactor left every construction unchanged:
 
 Two runs under different ``PYTHONHASHSEED`` values must print the same
 lines; a construction whose output depends on hash order shows as a diff.
+
+``construction_digests.txt`` next to this script holds the expected output,
+and ``tests/test_scripts.py`` compares ``main()`` against it, so a change to
+any construction's output fails the tests.  A change that alters outputs by
+design (say, trimming states that cannot reach ``final``) regenerates it:
+
+    python3 scripts/construction_digests.py > scripts/construction_digests.txt
+
+and lists in its description the lines that moved and why.
 """
 
 import hashlib

@@ -80,9 +80,9 @@ def validate(machine: Transducer) -> list[Violation]:
             if sym not in machine.output_alphabet:
                 bad("OutputNotInAlphabet", f"{where}: {sym.render()}")
         for a in t.test.atoms:
-            if not 1 <= a.i <= machine.k or (a.kind == "p" and not 1 <= a.j <= machine.k):
+            if a.j > machine.k:
                 bad("AtomIndexOutOfRange", f"{where}: {a.render()}")
-            if a.kind == "p" and not machine.equality_tests_allowed:
+            if a.i > 0 and not machine.equality_tests_allowed:
                 bad("EqualityAtomInBasicMachine", f"{where}: {a.render()}")
         if not t.op.is_nop() and not 1 <= t.op.index <= machine.k:
             bad("OpIndexOutOfRange", f"{where}: {t.op.render()}")

@@ -54,6 +54,8 @@ from .core import (
     reverse_op,
     reverse_test_under_op,
     satisfiable,
+    shift_op,
+    shift_test,
     test_of_op,
 )
 from .transforms import ensure_full_read, separate_ops_unchecked, split_outputs
@@ -130,25 +132,22 @@ def _subst_atom(a: Atom, q, xbar, ybar, r: int):
     when ruled out statically, else a list of literals."""
     k = len(xbar)
     d_k = sum(ybar)
-    if a.kind == "h":
-        i = a.i
-        if i > k or xbar[i - 1] != q:
+    i, j = a.i, a.j
+    if j > k:
+        return False
+    y = ybar[j - 1]
+    dj = sum(ybar[: j - 1])
+    if i == 0:  # h = p_j: the current configuration is the one frozen as segment j
+        if xbar[j - 1] != q:
             return False
-        y = ybar[i - 1]
-        d_prev = sum(ybar[: i - 1])
-        atoms = [peb_eq(l + d_k, l + d_prev) for l in range(1, y)]
-        atoms.append(head_eq(d_prev + y))
+        atoms = [peb_eq(l + d_k, l + dj) for l in range(1, y)]
+        atoms.append(head_eq(dj + y))
         if y + d_k <= r:
             atoms.append(peb_eq(y + d_k, y + d_k, negated=True))
         return atoms
-    i, j = a.i, a.j
-    if i > k or j > k:
+    if xbar[i - 1] != xbar[j - 1] or ybar[i - 1] != y:
         return False
-    if xbar[i - 1] != xbar[j - 1] or ybar[i - 1] != ybar[j - 1]:
-        return False
-    y = ybar[i - 1]
     di = sum(ybar[: i - 1])
-    dj = sum(ybar[: j - 1])
     return [peb_eq(l + di, l + dj) for l in range(1, y + 1)]
 
 
@@ -162,7 +161,7 @@ def xi_bar(q, xbar, ybar, psi: Test, r: int) -> list[Test]:
         return []
     dnf: list[tuple[Atom, ...]] = [()]
     for literal in psi.atoms:
-        image = _subst_atom(Atom(literal.kind, literal.i, literal.j), q, xbar, ybar, r)
+        image = _subst_atom(Atom(literal.i, literal.j), q, xbar, ybar, r)
         if image is False:
             if literal.negated:
                 continue  # ¬false = true
@@ -193,8 +192,8 @@ def _xi_base(d: int, phi: Test, op: PebbleOp, n: int, r: int) -> Test:
     """xi_0 ∧ phi ∧ test(op), shifted past d frozen pebbles."""
     return (
         _stack_window(d, n, r)
-        .conjoin(phi.shifted(d, r))
-        .conjoin(test_of_op(op, n).shifted(d, r))
+        .conjoin(shift_test(phi, d, r))
+        .conjoin(shift_test(test_of_op(op, n), d, r))
     )
 
 
@@ -243,10 +242,10 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                 found = _xi_base(d, t.test, t.op, n, r)
             elif kind == "fwd":
                 test = guard(t, n) if t.out else t.test
-                found = (test.shifted(d, r), NOP if t.out else t.op.shifted(d, r))
+                found = (shift_test(test, d, r), NOP if t.out else shift_op(t.op, d, r))
             else:
                 test = reverse_test_under_op(t.op, t.test)
-                found = (test.shifted(d, r), reverse_op(t.op).shifted(d, r))
+                found = (shift_test(test, d, r), shift_op(reverse_op(t.op), d, r))
             memo[key] = found
         return found
 
@@ -286,7 +285,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
             p2 = sn.pol(t2.dst)
             for test in xi(t, q, xbar, ybar, guard(t2, m)):
                 if p2 > 0:
-                    yield (t.letter, test, t.op.shifted(d, r),
+                    yield (t.letter, test, shift_op(t.op, d, r),
                            ("sim", t.dst, t2.dst) + frames, t2.out, "tr-a")
                 elif p2 < 0:
                     yield (t.letter, test, NOP,
@@ -395,7 +394,7 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
                 yield t
 
     polarity, transitions = explore(init, fin, pol_of, emit)
-    eq_used = any(a.kind == "p" for t in transitions for a in t.test.atoms)
+    eq_used = any(a.i > 0 for t in transitions for a in t.test.atoms)
     return Transducer(
         name=f"compose({first.name},{second.name})",
         k=r,

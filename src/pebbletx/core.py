@@ -2,9 +2,11 @@
 
 A machine walks a circular word ``#u`` (position 0 carries the reserved
 endmarker ``#``) with a stack of up to ``k`` pebbles.  Guards are
-conjunctions of (negated) atoms comparing the head with a pebble or two
-pebbles with each other.  Everything in this module is an immutable value;
-all operations are pure functions.
+conjunctions of (negated) equality atoms ``x_i = x_j`` over the positions
+``x_0`` (the head) and ``x_1..x_k`` (the pebbles, bottom first), so an atom
+comparing the head with a pebble and one comparing two pebbles are one
+type, read one way.  Everything in this module is an immutable value; all
+operations are pure functions.
 
 ``guard`` and ``reverse_guard`` are the one definition of when a
 transition can fire and when it can be undone; the runner, the analysis
@@ -15,6 +17,7 @@ machine from its initial state and the transitions leaving each state.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -135,49 +138,44 @@ def letter_at(word: tuple[Symbol, ...], h: int) -> Symbol:
 
 @dataclass(frozen=True, order=True)
 class Atom:
-    """One (possibly negated) equality atom.
+    """One (possibly negated) equality atom ``x_i = x_j``.
 
-    ``kind`` is ``"h"`` for head-pebble atoms ``h = p_i`` (``j`` unused, 0)
-    and ``"p"`` for pebble-pebble atoms ``p_i = p_j`` (stored with i <= j).
+    ``x_0`` is the head and ``x_1..x_k`` are the pebbles, so ``h = p_j`` is
+    ``Atom(0, j)`` and ``p_i = p_j`` is ``Atom(i, j)``.  The indices are
+    stored with ``0 <= i <= j`` and ``j >= 1``.  The field order sorts head
+    atoms before pebble atoms, each by pebble index.
     """
 
-    kind: str
     i: int
-    j: int = 0
+    j: int
     negated: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("h", "p"):
-            raise ValueError(f"bad atom kind {self.kind!r}")
-        if self.i < 1 or (self.kind == "p" and self.j < 1):
-            raise PebbleIndexError(f"pebble indices start at 1: {self.render()}")
-        if self.kind == "p" and self.i > self.j:
+        if self.i > self.j:
             i, j = self.i, self.j
             object.__setattr__(self, "i", j)
             object.__setattr__(self, "j", i)
+        if self.i < 0 or self.j < 1:
+            raise PebbleIndexError(f"pebble indices start at 1: {self.render()}")
 
     def negate(self) -> "Atom":
-        return Atom(self.kind, self.i, self.j, not self.negated)
-
-    def shifted(self, d: int) -> "Atom":
-        if self.kind == "h":
-            return Atom("h", self.i + d, 0, self.negated)
-        return Atom("p", self.i + d, self.j + d, self.negated)
-
-    def max_index(self) -> int:
-        return self.i if self.kind == "h" else self.j
+        return Atom(self.i, self.j, not self.negated)
 
     def render(self) -> str:
-        body = f"h=p{self.i}" if self.kind == "h" else f"p{self.i}=p{self.j}"
+        body = f"h=p{self.j}" if self.i == 0 else f"p{self.i}=p{self.j}"
         return ("!" if self.negated else "") + body
 
 
 def head_eq(i: int, negated: bool = False) -> Atom:
-    return Atom("h", i, 0, negated)
+    """``h = p_i``."""
+    return Atom(0, i, negated)
 
 
 def peb_eq(i: int, j: int, negated: bool = False) -> Atom:
-    return Atom("p", i, j, negated)
+    """``p_i = p_j``; both indices name pebbles, so neither may be 0."""
+    if min(i, j) < 1:
+        raise PebbleIndexError(f"pebble indices start at 1: p{i}=p{j}")
+    return Atom(i, j, negated)
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,6 @@ class Test:
         if not other.atoms:
             return self
         return Test.of(*(self.atoms + other.atoms))
-
-    def shifted(self, d: int, k: Optional[int] = None) -> "Test":
-        return shift_test(self, d, k)
-
-    def max_index(self) -> int:
-        return max((a.max_index() for a in self.atoms), default=0)
 
     def render(self) -> str:
         if self.false:
@@ -242,9 +234,6 @@ class PebbleOp:
 
     def is_nop(self) -> bool:
         return self.kind == "nop"
-
-    def shifted(self, d: int, k: Optional[int] = None) -> "PebbleOp":
-        return shift_op(self, d, k)
 
     def render(self) -> str:
         return "nop" if self.is_nop() else f"{self.kind}{self.index}"
@@ -300,26 +289,15 @@ _Image = Union[bool, Atom]
 
 
 def _image(op: PebbleOp, a: Atom) -> _Image:
-    if op.is_nop():
-        return Atom(a.kind, a.i, a.j, False)
+    """The positive atom of ``a`` read after ``op``: pebbles below the op's
+    index keep their places, ``drop(ell)`` has no pebble ``ell`` before it,
+    and after ``lift(ell)`` the head sits where pebble ``ell`` was."""
     ell = op.index
-    if op.kind == "drop":
-        if a.kind == "h":
-            return head_eq(a.i) if a.i < ell else False
-        return peb_eq(a.i, a.j) if a.j < ell else False
-    # lift
-    if a.kind == "h":
-        if a.i < ell:
-            return head_eq(a.i)
-        return True if a.i == ell else False
-    i, j = a.i, a.j
-    if j < ell:
-        return peb_eq(i, j)
-    if i == j == ell:
-        return True
-    if i < j == ell:
-        return head_eq(i)
-    return False
+    if op.is_nop() or a.j < ell:
+        return Atom(a.i, a.j) if a.negated else a
+    if a.j > ell or op.kind == "drop":
+        return False
+    return True if a.i in (0, ell) else Atom(0, a.i)
 
 
 def reverse_test_under_op(op: PebbleOp, t: Test) -> Test:
@@ -371,10 +349,14 @@ def shift_op(op: PebbleOp, d: int, k: Optional[int] = None) -> PebbleOp:
 
 
 def shift_test(t: Test, d: int, k: Optional[int] = None) -> Test:
+    """``t`` read ``d`` pebbles higher on the stack; the head stays ``x_0``."""
     if t.false:
         return FALSE
-    shifted = Test.of(*(a.shifted(d) for a in t.atoms)) if d else t
-    if k is not None and shifted.max_index() > k:
+    if not d:
+        shifted = t
+    else:
+        shifted = Test.of(*(Atom(a.i and a.i + d, a.j + d, a.negated) for a in t.atoms))
+    if k is not None and max((a.j for a in shifted.atoms), default=0) > k:
         raise PebbleIndexError(f"shifted test {shifted.render()} exceeds k={k}")
     return shifted
 
@@ -385,10 +367,8 @@ def shift_test(t: Test, d: int, k: Optional[int] = None) -> Test:
 
 def eval_atom(atom: Atom, peb: tuple[int, ...], h: int) -> bool:
     """Out-of-stack indices make positive atoms false, negated ones true."""
-    if atom.kind == "h":
-        value = atom.i <= len(peb) and peb[atom.i - 1] == h
-    else:
-        value = atom.j <= len(peb) and peb[atom.i - 1] == peb[atom.j - 1]
+    x = (h,) + peb  # x_0 is the head
+    value = atom.j < len(x) and x[atom.i] == x[atom.j]
     return value != atom.negated
 
 
@@ -415,10 +395,10 @@ def satisfiable(t: Test, k: int) -> bool:
     """
     if t.false:
         return False
-    s = max((a.max_index() for a in t.atoms if not a.negated), default=0)
+    s = max((a.j for a in t.atoms if not a.negated), default=0)
     if s > k:
         return False
-    parent = list(range(s + 1))  # 0 = head, 1..s = pebbles
+    parent = list(range(s + 1))  # x_0..x_s
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -426,17 +406,10 @@ def satisfiable(t: Test, k: int) -> bool:
             x = parent[x]
         return x
 
-    def ends(a: Atom) -> tuple[int, int]:
-        return (0 if a.kind == "h" else a.i), a.max_index()
-
     for a in t.atoms:
         if not a.negated:
-            x, y = ends(a)
-            parent[find(x)] = find(y)
-    return all(
-        find(x) != find(y)
-        for x, y in (ends(a) for a in t.atoms if a.negated and a.max_index() <= s)
-    )
+            parent[find(a.i)] = find(a.j)
+    return all(find(a.i) != find(a.j) for a in t.atoms if a.negated and a.j <= s)
 
 
 # ---------------------------------------------------------------------------
@@ -526,20 +499,7 @@ class Transducer:
         return self.input_alphabet | {ENDMARKER}
 
     def replace(self, **changes) -> "Transducer":
-        fields = dict(
-            name=self.name,
-            k=self.k,
-            input_alphabet=self.input_alphabet,
-            output_alphabet=self.output_alphabet,
-            polarity=dict(self.polarity),
-            initial=self.initial,
-            final=self.final,
-            transitions=self.transitions,
-            equality_tests_allowed=self.equality_tests_allowed,
-            metadata=dict(self.metadata),
-        )
-        fields.update(changes)
-        return Transducer(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 def explore(initial, final, pol_of, successors) -> tuple[dict, list]:

@@ -115,9 +115,7 @@ def _test_to_json(test: Test):
         return "false"
     out = []
     for a in test.atoms:
-        obj = {"kind": "head" if a.kind == "h" else "peb", "i": a.i}
-        if a.kind == "p":
-            obj["j"] = a.j
+        obj = {"kind": "head", "i": a.j} if a.i == 0 else {"kind": "peb", "i": a.i, "j": a.j}
         if a.negated:
             obj["negated"] = True
         out.append(obj)

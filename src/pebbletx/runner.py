@@ -161,21 +161,17 @@ class _Node:
 
 
 def _guard(t: Transition, k: int) -> tuple:
-    """``core.guard(t, k)`` as a tuple of ``(is_head, i, j, negated)`` atoms
-    over 0-based pebble indices; ``j`` is the deepest pebble the atom
-    reads, so a head atom repeats ``i``."""
-    return tuple(
-        (a.kind == "h", a.i - 1, (a.i if a.kind == "h" else a.j) - 1, a.negated)
-        for a in guard(t, k).atoms
-    )
+    """``core.guard(t, k)`` as a tuple of ``(i, j, negated)`` atoms over
+    0-based stack indices, with -1 for the head."""
+    return tuple((a.i - 1, a.j - 1, a.negated) for a in guard(t, k).atoms)
 
 
 def _holds(atoms: tuple, peb: tuple[int, ...], head: int) -> bool:
     """``core.eval_test`` on a flattened guard: an atom reading a pebble
     above the stack is false, its negation true."""
     d = len(peb)
-    for is_head, i, j, negated in atoms:
-        if (j < d and peb[i] == (head if is_head else peb[j])) == negated:
+    for i, j, negated in atoms:
+        if (j < d and (peb[i] if i >= 0 else head) == peb[j]) == negated:
             return False
     return True
 

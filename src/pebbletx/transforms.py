@@ -162,10 +162,7 @@ def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> boo
     if test.false:
         return False
     for a in test.atoms:
-        if a.kind == "h":
-            value = a.i <= dropped and b[a.i - 1] == 1
-        else:
-            value = a.j <= dropped and alpha[a.i - 1][a.j - 1] == 1
+        value = a.j <= dropped and (alpha[a.i - 1] if a.i else b)[a.j - 1] == 1
         if value == a.negated:
             return False
     return True

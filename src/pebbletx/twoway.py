@@ -18,6 +18,7 @@ from .core import (
     TRUE,
     HasPebblesError,
     NotDeterministicError,
+    PebbleError,
     Symbol,
     Transducer,
     Transition,
@@ -28,6 +29,7 @@ from .core import (
 __all__ = [
     "TwoWayTransducer",
     "TwoWayTransition",
+    "TwoWayConventionError",
     "LMARK",
     "RMARK",
     "run_two_way",
@@ -77,6 +79,10 @@ class TwoWayTransducer:
     @property
     def states(self) -> frozenset:
         return self.forward | self.backward
+
+
+class TwoWayConventionError(PebbleError):
+    """A two-way transducer breaks the endmarker conventions."""
 
 
 def two_way_violations(t2: TwoWayTransducer) -> list[str]:
@@ -233,7 +239,13 @@ def two_way_to_zero_pebble(t2: TwoWayTransducer) -> Transducer:
     Both endmarkers collapse onto ``#``; the convention that left-marker
     reads leave backward states and right-marker reads leave forward states
     keeps the merged transitions overlap-free, so reversibility survives.
+    A machine that breaks those conventions would convert into one computing
+    another function, so it raises ``TwoWayConventionError`` naming the
+    first violation.
     """
+    violations = two_way_violations(t2)
+    if violations:
+        raise TwoWayConventionError(f"{t2.name}: {violations[0]}")
     polarity = {}
     for q in t2.forward:
         polarity[q] = 0 if q in (t2.initial, t2.final) else 1

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -160,6 +162,70 @@ def test_malformed_file_is_a_located_error(case, tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["run", str(path), "--input", "ab"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# what a fuzzed node may become: every JSON type, and ints at and past the
+# edges of what the fields accept
+_FUZZ_VALUES = (
+    0, 1, 2, -1, 10**30, -(10**30), 0.5, 1e308, True, False, None, "", "a", "#", "q0",
+    [], [0], [None], {}, {"kind": "head", "i": 1}, {"base": "#"},
+)
+
+
+def _node_paths(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _fuzz(doc: dict, rng: random.Random) -> list:
+    """Replace or delete one to three nodes below the root of ``doc``, in
+    place.  A node is replaced by a value of ``_FUZZ_VALUES`` or by a copy
+    of another node.  Returns what was done, for the failure message."""
+    done = []
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_node_paths(doc))[1:]
+        *parents, last = rng.choice(paths)
+        parent = _at(doc, parents)
+        action = rng.choice(("value", "copy", "delete"))
+        if action == "delete":
+            del parent[last]
+        else:
+            source = rng.choice(_FUZZ_VALUES) if action == "value" else _at(doc, rng.choice(paths))
+            parent[last] = copy.deepcopy(source)
+        done.append((action, *parents, last))
+    return done
+
+
+def test_fuzzed_corpus_documents_parse_or_raise_a_pebble_error():
+    # seeded random mutations of every corpus document: parse either builds
+    # a machine or raises a PebbleError, never another exception
+    rng = random.Random(15)
+    originals = {path.name: json.loads(path.read_text(encoding="utf-8"))
+                 for path in sorted(CORPUS.glob("*.ptx"))}
+    for name, original in originals.items():
+        for _ in range(250):
+            doc = copy.deepcopy(original)
+            done = _fuzz(doc, rng)
+            try:
+                parse(json.dumps(doc))
+            except PebbleError:
+                pass
+            except Exception as e:
+                pytest.fail(f"{name} after {done}: {type(e).__name__}: {e}")
 
 
 @pytest.mark.parametrize("field, entry", [

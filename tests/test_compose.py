@@ -373,7 +373,7 @@ def test_xi_bar_matches_decoded_evaluation():
                         dnf = xi_bar("q", xbar, ybar, psi, r)
                         got = any(eval_test(t, peb, head) for t in dnf)
                         atom = psi.atoms[0]
-                        if atom.kind == "h":
+                        if atom.i == 0:
                             want = same != atom.negated
                         else:
                             want = not atom.negated  # pebble' 1 is dropped

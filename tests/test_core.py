@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -58,9 +59,9 @@ def test_eval_test_examples():
 
 
 def test_pebble_atom_orders_its_indices():
-    # Atom("p", j, i) with j > i swaps its indices, never collapsing to p_i = p_i
+    # Atom(j, i) with j > i swaps its indices, never collapsing to p_i = p_i
     for i, j, neg in itertools.product(range(1, 4), range(1, 4), (False, True)):
-        atom = Atom("p", j, i, neg)
+        atom = Atom(j, i, neg)
         assert atom == peb_eq(i, j, neg)
         assert (atom.i, atom.j) == (min(i, j), max(i, j))
         for peb in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, 2)):
@@ -198,10 +199,17 @@ def test_test_canonical_form():
     assert Test.of(a, b, a) == Test.of(b, a)
     # pebble atoms are stored with i <= j
     assert peb_eq(2, 1) == peb_eq(1, 2)
+    # an atom is x_i = x_j with x_0 the head: head atoms sort first, each
+    # kind by pebble index, so Test.of and serialize order is plain tuple order
+    assert [f.name for f in dataclasses.fields(Atom)] == ["i", "j", "negated"]
+    assert head_eq(2) == Atom(0, 2) and peb_eq(1, 2, True) == Atom(1, 2, True)
+    assert Test.of(peb_eq(1, 1), head_eq(2), head_eq(1, True)).atoms == (
+        head_eq(1, True), head_eq(2), peb_eq(1, 1)
+    )
 
 
 def test_atom_pebble_indices_start_at_one():
-    # eval_atom reads peb[i - 1], so index 0 would read the top of the stack
+    # x_0 is the head, so no pebble index may be 0 (or below)
     for make in (lambda: head_eq(0), lambda: head_eq(-1), lambda: peb_eq(0, 1)):
         with pytest.raises(PebbleError):
             make()

@@ -23,6 +23,13 @@ def test_script_main_succeeds(name, capsys):
     assert capsys.readouterr().out
 
 
+def test_construction_digests_match_the_committed_file(capsys):
+    # every construction builds byte-identical machines to the recorded ones
+    assert _script("construction_digests").main() == 0
+    golden = (ROOT / "scripts" / "construction_digests.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_build_corpus_table_matches_corpus():
     files = _script("build_corpus").FILES
     assert len(files) == 8

@@ -20,6 +20,7 @@ from pebbletx.core import ENDMARKER, HookRequiredError, NoPebblesError, PebbleEr
 from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.twoway import (
+    TwoWayConventionError,
     TwoWayTransition,
     run_two_way,
     two_way_is_deterministic,
@@ -363,17 +364,21 @@ def test_two_way_nondeterminism_is_a_pebble_error(ident):
 
 def test_two_way_run_off_the_left_marker_rejects(ident):
     # a backward state at the left end has no letter to its left; a machine
-    # that breaks the marker convention gets there and must be rejected
+    # that breaks the marker convention gets there and must be rejected, and
+    # converting it must raise rather than yield a machine that accepts
     t2 = zero_pebble_to_two_way(ident)
     first = next(t for t in t2.transitions if t.src == t2.initial)
-    back = next(iter(t2.backward))
-    wrong = TwoWayTransition(first.src, first.letter, back)
+    assert t2.backward == {("-", "c1")}
+    wrong = TwoWayTransition(first.src, first.letter, ("-", "c1"))
     bad = dataclasses.replace(
         t2, transitions=tuple(t for t in t2.transitions if t != first) + (wrong,)
     )
-    assert two_way_violations(bad)
+    assert len(two_way_violations(bad)) == 1
     for u in ["", "a", "ab", "ba"]:
         assert run_two_way(bad, u) == ("reject", None), u
+    with pytest.raises(TwoWayConventionError, match="left-marker transition into a backward"):
+        two_way_to_zero_pebble(bad)
+    assert issubclass(TwoWayConventionError, PebbleError)
 
 
 def test_two_way_marker_transitions_do_not_overlap(itrev):
