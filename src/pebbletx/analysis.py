@@ -39,7 +39,11 @@ def validate(machine: Transducer) -> list[Violation]:
     v: list[Violation] = []
     states = machine.states
 
-    def bad(kind: str, detail: str) -> None:
+    def bad(kind: str, detail: str = "", at: Optional[int] = None) -> None:
+        # only a faulty transition is rendered: rendering costs more than the checks
+        if at is not None:
+            where = f"transition #{at} ({machine.transitions[at].render()})"
+            detail = f"{where}: {detail}" if detail else where
         v.append(Violation(kind, detail))
 
     if machine.k < 0:
@@ -65,27 +69,26 @@ def validate(machine: Transducer) -> list[Violation]:
                 bad("ReservedLetterInAlphabet", f"'#' in {alph_name} alphabet")
     letters = machine.letters()
     for idx, t in enumerate(machine.transitions):
-        where = f"transition #{idx} ({t.render()})"
         if t.src not in states:
-            bad("UnknownState", f"{where}: source {t.src!r}")
+            bad("UnknownState", f"source {t.src!r}", idx)
         if t.dst not in states:
-            bad("UnknownState", f"{where}: target {t.dst!r}")
+            bad("UnknownState", f"target {t.dst!r}", idx)
         if t.src == machine.final:
-            bad("FinalStateHasOutgoing", where)
+            bad("FinalStateHasOutgoing", at=idx)
         if t.dst == machine.initial:
-            bad("InitialStateHasIncoming", where)
+            bad("InitialStateHasIncoming", at=idx)
         if t.letter not in letters:
-            bad("LetterNotInAlphabet", f"{where}: {t.letter.render()}")
+            bad("LetterNotInAlphabet", t.letter.render(), idx)
         for sym in t.out:
             if sym not in machine.output_alphabet:
-                bad("OutputNotInAlphabet", f"{where}: {sym.render()}")
+                bad("OutputNotInAlphabet", sym.render(), idx)
         for a in t.test.atoms:
             if a.j > machine.k:
-                bad("AtomIndexOutOfRange", f"{where}: {a.render()}")
+                bad("AtomIndexOutOfRange", a.render(), idx)
             if a.i > 0 and not machine.equality_tests_allowed:
-                bad("EqualityAtomInBasicMachine", f"{where}: {a.render()}")
+                bad("EqualityAtomInBasicMachine", a.render(), idx)
         if not t.op.is_nop() and not 1 <= t.op.index <= machine.k:
-            bad("OpIndexOutOfRange", f"{where}: {t.op.render()}")
+            bad("OpIndexOutOfRange", t.op.render(), idx)
     return v
 
 

@@ -1,7 +1,8 @@
 """Operational semantics: stepping, full runs, and relation enumeration.
 
-``step``, ``step_back`` and ``enabled`` are the reference semantics, written
-over ``core.eval_test`` and ``core.apply_op``.  ``run`` and
+``step`` and ``step_back`` are the reference semantics, written over
+``core.eval_test`` and ``core.apply_op``: a transition fires from a
+configuration iff it is among ``step``'s successors.  ``run`` and
 ``enumerate_runs`` execute the same semantics on a table that each machine
 compiles lazily on its first run (``_RunTable``).
 """
@@ -24,7 +25,6 @@ from .core import (
     eval_test,
     guard,
     letter_at,
-    op_enabled,
     reverse_op,
     word_symbols,
 )
@@ -87,18 +87,6 @@ def default_budget(machine: Transducer, word: tuple[Symbol, ...]) -> int:
     n = len(word) + 1
     k = machine.k
     return len(machine.polarity) * (n ** (k + 1)) * (k + 1) + 1
-
-
-def enabled(
-    machine: Transducer, t: Transition, c: Configuration, word: tuple[Symbol, ...]
-) -> bool:
-    """Letter matches, the test holds, and the operation is executable."""
-    return (
-        t.src == c.state
-        and t.letter == letter_at(word, c.head)
-        and eval_test(t.test, c.peb, c.head)
-        and op_enabled(t.op, c.peb, c.head)
-    )
 
 
 def step(

@@ -3,7 +3,9 @@
 Covers output reversal, compiling equality tests away into matrix-annotated
 states, and the normalizations (single-letter outputs, full input reads,
 separating pebble actions from head moves) that the composition
-constructions assume.
+constructions assume.  The stack abstraction (alpha, b) is read only
+through ``consistent_bits`` and ``update_matrix``, which ``decompose``
+shares.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ __all__ = [
     "reverse_test_under_op",
     "reverse_transducer",
     "eliminate_equality",
-    "phi1",
-    "phi2",
     "split_outputs",
     "ensure_full_read",
     "separate_drop_lift_moves",
@@ -41,7 +41,6 @@ __all__ = [
     "mat_or",
     "mat_minus",
     "mat_disjoint",
-    "basic_consistent",
     "consistent_bits",
     "bits_matrix_satisfy",
     "bits_test",
@@ -114,48 +113,6 @@ def mat_disjoint(m1: Matrix, m2: Matrix) -> bool:
     return all(not (a & b) for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2))
 
 
-def phi1(peb: tuple[int, ...], k: int) -> Matrix:
-    """alpha[i][j] = 1 iff pebbles i,j are both dropped on the same spot."""
-    n = len(peb)
-    return tuple(
-        tuple(
-            1 if i < n and j < n and peb[i] == peb[j] else 0 for j in range(k)
-        )
-        for i in range(k)
-    )
-
-
-def phi2(h: int, peb: tuple[int, ...], k: int) -> Bits:
-    """b[i] = 1 iff pebble i+1 is dropped on the head position."""
-    n = len(peb)
-    return tuple(1 if i < n and peb[i] == h else 0 for i in range(k))
-
-
-def basic_consistent(alpha: Matrix, b: Bits) -> bool:
-    """Invariants I1-I5: alpha symmetric/transitive, bits agree with alpha,
-    and dropped pebbles respect the stack discipline."""
-    k = len(b)
-    for i in range(k):
-        for j in range(k):
-            if alpha[i][j] != alpha[j][i]:
-                return False
-            for n in range(k):
-                if alpha[i][j] and alpha[j][n] and not alpha[i][n]:
-                    return False
-    for i in range(k):
-        if b[i] and not alpha[i][i]:
-            return False
-        for j in range(k):
-            if b[i] and b[j] and not alpha[i][j]:
-                return False
-            if alpha[i][j] and not (alpha[i][i] and alpha[j][j] and b[i] == b[j]):
-                return False
-    for j in range(1, k):
-        if alpha[j][j] and not alpha[j - 1][j - 1]:
-            return False
-    return True
-
-
 def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> bool:
     """alpha, b |= phi (head atoms read bits, equality atoms read alpha),
     counting only the first ``dropped`` pebbles as on the stack."""
@@ -169,7 +126,7 @@ def bits_matrix_satisfy(test: Test, alpha: Matrix, b: Bits, dropped: int) -> boo
 
 
 def consistent_bits(alpha: Matrix) -> list[Bits]:
-    """The b with ``basic_consistent(alpha, b)``, in ascending order, for
+    """Every head bit vector consistent with alpha, in ascending order, for
     alpha an equivalence on the dropped pebbles: b marks no pebble or
     exactly one class of alpha, and the rows of alpha are those classes."""
     return sorted(set(alpha) | {(0,) * len(alpha)})

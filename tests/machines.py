@@ -1,4 +1,6 @@
-"""Shared fixture machines and independent functional oracles for the tests.
+"""Shared fixture machines and independent functional oracles for the tests,
+the construction-size bounds they assert, and the equality-abstraction
+references.
 
 The oracles are written directly from the function definitions (no pebble
 semantics involved) so they can serve as ground truth for the machines.
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 from pebbletx.builtins import BANG, mark
 from pebbletx.core import (
@@ -132,6 +135,121 @@ def semantically_reverse_deterministic(machine: Transducer, word) -> bool:
     return all(
         len(step_back(machine, c, word)) <= 1 for c in all_configurations(machine, word)
     )
+
+
+# ---------------------------------------------------------------------------
+# Construction size bounds
+#
+# One function per stated bound, from the input sizes: |Q| (states), k, and
+# for a composition n and m, the pebble counts of the first and second
+# machine.  The tests assert against these, and scripts/state_growth.py
+# prints them.
+
+
+def bell(n: int) -> int:
+    """B(n), the number of partitions of an n-element set."""
+    b = [1]
+    for m in range(n):
+        b.append(sum(comb(m, i) * b[i] for i in range(m + 1)))
+    return b[n]
+
+
+def eliminate_equality_bound(states: int, k: int) -> int:
+    """|Q| * 2^(k^2): one copy of each state per k x k 0/1 matrix."""
+    return states * 2 ** (k * k)
+
+
+def separate_moves_bound(states: int) -> int:
+    """3|Q|, the stated bound of the op/move split.  The split adds one held
+    state per (state, pebble operation) pair, so it holds while states
+    average at most two distinct pebble operations."""
+    return 3 * states
+
+
+def compose_simple_bound(first_states: int, second_states: int) -> int:
+    """2|Q||Q'| for the normalized first and second machines."""
+    return 2 * first_states * second_states
+
+
+def compose_general_bound(first_states: int, second_states: int, n: int, m: int) -> int:
+    """|Q|^(m+2) |Q'| (n+1)^(m+3) for the normalized machines, the first
+    with n pebbles and the second with m."""
+    return first_states ** (m + 2) * second_states * (n + 1) ** (m + 3)
+
+
+def config_enumerator_states(k: int) -> int:
+    """C_k has exactly 5k + 1 states."""
+    return 5 * k + 1
+
+
+def equality_annotator_states(k: int) -> int:
+    """C_k^= has exactly 2B(k+1) + 2B(k) + 3 states: compute/undo over the
+    equivalences on pebble subsets, left/write over the total equivalences,
+    plus the initial, final and reset states."""
+    return 2 * bell(k + 1) + 2 * bell(k) + 3
+
+
+def decompose_bound(states: int, k: int) -> int:
+    """6k(3|Q|) + 2 for k >= 1.  T_0's states are (q, i, mode) over the
+    |Q'| states of the op/move split, 0 <= i <= k and three modes, plus the
+    entry and exit states: 3(k+1)|Q'| + 2, which is at most 6k(3|Q|) + 2
+    while the split keeps to its 3|Q| bound."""
+    return 6 * k * 3 * states + 2
+
+
+# ---------------------------------------------------------------------------
+# Equality-abstraction references
+#
+# The maps phi_1, phi_2 from a pebble stack and head to the abstraction
+# (alpha, b) that ``eliminate_equality`` and ``decompose`` track, and the
+# invariants I1-I5 that every abstraction of a real stack satisfies.  The
+# library reads the abstraction only through ``transforms.consistent_bits``
+# and ``transforms.update_matrix``; the tests check both against these.
+
+Matrix = tuple[tuple[int, ...], ...]
+Bits = tuple[int, ...]
+
+
+def phi1(peb: tuple[int, ...], k: int) -> Matrix:
+    """alpha[i][j] = 1 iff pebbles i,j are both dropped on the same spot."""
+    n = len(peb)
+    return tuple(
+        tuple(
+            1 if i < n and j < n and peb[i] == peb[j] else 0 for j in range(k)
+        )
+        for i in range(k)
+    )
+
+
+def phi2(h: int, peb: tuple[int, ...], k: int) -> Bits:
+    """b[i] = 1 iff pebble i+1 is dropped on the head position."""
+    n = len(peb)
+    return tuple(1 if i < n and peb[i] == h else 0 for i in range(k))
+
+
+def basic_consistent(alpha: Matrix, b: Bits) -> bool:
+    """Invariants I1-I5: alpha symmetric/transitive, bits agree with alpha,
+    and dropped pebbles respect the stack discipline."""
+    k = len(b)
+    for i in range(k):
+        for j in range(k):
+            if alpha[i][j] != alpha[j][i]:
+                return False
+            for n in range(k):
+                if alpha[i][j] and alpha[j][n] and not alpha[i][n]:
+                    return False
+    for i in range(k):
+        if b[i] and not alpha[i][i]:
+            return False
+        for j in range(k):
+            if b[i] and b[j] and not alpha[i][j]:
+                return False
+            if alpha[i][j] and not (alpha[i][i] and alpha[j][j] and b[i] == b[j]):
+                return False
+    for j in range(1, k):
+        if alpha[j][j] and not alpha[j - 1][j - 1]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

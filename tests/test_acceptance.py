@@ -9,8 +9,11 @@ import pytest
 
 from machines import (
     brute_force_satisfiable,
+    compose_general_bound,
+    compose_simple_bound,
     drop_two_then_copy_rest,
     drop_two_then_copy_rest_fn,
+    eliminate_equality_bound,
     equality_pair_probe,
     pick_any_letter,
     random_machine,
@@ -159,7 +162,7 @@ def test_criterion_4_equality_elimination():
             assert validate(m) == [], m.name
             basic = eliminate_equality(m)
             assert validate(basic) == [], m.name
-            assert len(basic.polarity) <= len(m.polarity) * 2 ** (m.k**2), m.name
+            assert len(basic.polarity) <= eliminate_equality_bound(len(m.polarity), m.k), m.name
             assert not basic.equality_tests_allowed
             if is_deterministic(m)[0]:
                 assert is_deterministic(basic)[0], m.name
@@ -188,7 +191,7 @@ def test_criterion_5_simple_composition():
             comp = compose_simple(first, second)
             tn = comp.metadata["first_normalized"]
             sn = comp.metadata["second_normalized"]
-            assert len(comp.polarity) <= 2 * len(tn.polarity) * len(sn.polarity)
+            assert len(comp.polarity) <= compose_simple_bound(len(tn.polarity), len(sn.polarity))
             assert is_deterministic(comp)[0]
             if is_reversible(second):
                 assert is_reversible(comp)
@@ -212,8 +215,8 @@ def test_criterion_6_general_composition():
         assert is_reverse_deterministic(comp)[0]
         tn = comp.metadata["first_normalized"]
         sn = comp.metadata["second_normalized"]
-        q, qp, n, m = len(tn.polarity), len(sn.polarity), tn.k, sn.k
-        assert len(comp.polarity) <= (q ** (m + 2)) * qp * ((n + 1) ** (m + 3))
+        bound = compose_general_bound(len(tn.polarity), len(sn.polarity), tn.k, sn.k)
+        assert len(comp.polarity) <= bound
         gadget_tags = ("liftg", "dropg", "liftg0")
         for u in words_upto("ab", 3):
             mid = semantics(first, u)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,8 @@ from pebbletx.analysis import (
     is_reversible,
     validate,
 )
-from pebbletx.core import ENDMARKER, NOP, Symbol, TRUE, Test, Transition, peb_eq
+from pebbletx.builtins import copier
+from pebbletx.core import ENDMARKER, NOP, Symbol, TRUE, Test, Transition, drop, peb_eq
 from pebbletx.transforms import _reverse_unchecked
 
 
@@ -55,11 +57,43 @@ def test_validate_index_out_of_range(sq):
 
 
 def test_validate_reserved_letter():
-    from pebbletx.builtins import copier
-
     m = copier("ab")
     bad = m.replace(input_alphabet=m.input_alphabet | {ENDMARKER})
     assert "ReservedLetterInAlphabet" in {v.kind for v in validate(bad)}
+
+
+_COPIER = copier("ab")
+_A, _Z = Symbol("a"), Symbol("z")
+
+
+def _copier_plus(t: Transition):
+    return _COPIER.replace(transitions=_COPIER.transitions + (t,))
+
+
+@pytest.mark.parametrize("machine, messages", [
+    (_COPIER.replace(k=-1), ["NegativePebbleCount: -1"]),
+    (_COPIER.replace(initial="zz"), ["UnknownState: initial 'zz'"]),
+    (_COPIER.replace(final="zz"), ["UnknownState: final 'zz'"]),
+    (_copier_plus(Transition("zz", _A, TRUE, NOP, "c1")),
+     ["UnknownState: transition #4 (zz --a,true,nop--> c1 | eps): source 'zz'"]),
+    (_copier_plus(Transition("c1", _A, TRUE, NOP, "zz")),
+     ["UnknownState: transition #4 (c1 --a,true,nop--> zz | eps): target 'zz'"]),
+    (_COPIER.replace(final="c0"),
+     ["InitialEqualsFinal: 'c0'",
+      "FinalStateHasOutgoing: transition #0 (c0 --#,true,nop--> c1 | eps)"]),
+    (_COPIER.replace(polarity={**_COPIER.polarity, "c2": 1}),
+     ["EndpointNotStationary: final state 'c2' has polarity 1"]),
+    (_COPIER.replace(polarity={**_COPIER.polarity, "c1": 2}), ["BadPolarity: 2"]),
+    (_copier_plus(Transition("c1", _Z, TRUE, NOP, "c1")),
+     ["LetterNotInAlphabet: transition #4 (c1 --z,true,nop--> c1 | eps): z"]),
+    (_copier_plus(Transition("c1", _A, TRUE, NOP, "c1", (_Z,))),
+     ["OutputNotInAlphabet: transition #4 (c1 --a,true,nop--> c1 | z): z"]),
+    (_copier_plus(Transition("c1", _A, TRUE, drop(1), "c1")),
+     ["OpIndexOutOfRange: transition #4 (c1 --a,true,drop1--> c1 | eps): drop1"]),
+])
+def test_validate_reports_each_violation_verbatim(machine, messages):
+    # one minimal mutation of the copier per violation, with its full text
+    assert [str(v) for v in validate(machine)] == messages
 
 
 def test_determinism_verdicts(sq, itrev):

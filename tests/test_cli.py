@@ -58,6 +58,24 @@ def test_round_trip_is_canonical(squaring_file):
         assert semantics(machine, u) == semantics(squaring("ab"), u)
 
 
+def test_false_test_round_trips_and_never_fires():
+    from pebbletx.builtins import copier
+    from pebbletx.core import FALSE, NOP, Transition
+    from pebbletx.runner import run
+
+    ident = copier("ab")
+    dead = Transition("c1", Symbol("a"), FALSE, NOP, "c1", (Symbol("b"),))
+    assert dead.render() == "c1 --a,false,nop--> c1 | b"
+    text = serialize(ident.replace(transitions=ident.transitions + (dead,)))
+    assert '"test": "false"' in text
+    machine = parse(text)
+    assert dead in machine.transitions
+    assert serialize(machine) == text
+    # the run table skips the transition, so the copier stays deterministic
+    for u in ["", "a", "ab", "aab"]:
+        assert run(machine, u).output == run(ident, u).output, u
+
+
 def test_parse_unknown_state():
     doc = json.loads(serialize(squaring("ab")))
     doc["transitions"][0]["from"] = "nowhere"
@@ -288,6 +306,27 @@ def test_run_command(capsys, squaring_file):
     assert capsys.readouterr().out.strip() == "_a b a _b"
 
 
+def test_run_trace_prints_one_line_per_step(capsys, tmp_path):
+    from machines import drop_two_then_copy_rest
+
+    path = tmp_path / "fixture.ptx"
+    path.write_text(serialize(drop_two_then_copy_rest()))
+    assert cli.main(["run", str(path), "--input", "abb", "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "b\n"
+    assert captured.err.splitlines() == [
+        "  s0 --#,true,nop--> s1 | eps  ->  (s1, [], 1)",
+        "  s1 --a,true,drop1--> s2 | eps  ->  (s2, [1], 2)",
+        "  s2 --b,true,drop2--> s3 | eps  ->  (s3, [1, 2], 3)",
+        "  s3 --b,true,nop--> s3 | b  ->  (s3, [1, 2], 0)",
+        "  s3 --#,true,nop--> s4 | eps  ->  (s4, [1, 2], 1)",
+        "  s4 --a,!h=p2,nop--> s4 | eps  ->  (s4, [1, 2], 2)",
+        "  s4 --b,true,lift2--> s5 | eps  ->  (s5, [1], 1)",
+        "  s5 --a,true,lift1--> s6 | eps  ->  (s6, [], 0)",
+        "  s6 --#,true,nop--> sf | eps  ->  (sf, [], 0)",
+    ]
+
+
 def test_run_command_empty_input(capsys, squaring_file):
     assert cli.main(["run", squaring_file, "--input", ""]) == 0
     assert capsys.readouterr().out.strip() == ""
@@ -416,6 +455,24 @@ def test_oracle_compose_command(capsys, modsq_file, itrev_file):
         "oracle", "compose", modsq_file, itrev_file, "--maxlen", "3"
     ]) == 0
     assert "all agree" in capsys.readouterr().out
+
+
+def test_oracle_compose_reports_mismatches(capsys, monkeypatch, tmp_path):
+    # a composition that computes another function (the reversal of the
+    # copier, against copier . copier) is caught word by word
+    from pebbletx.builtins import copier
+    from pebbletx.transforms import reverse_transducer
+
+    path = tmp_path / "copier.ptx"
+    path.write_text(serialize(copier("ab")))
+    monkeypatch.setattr(cli, "compose", lambda first, second: reverse_transducer(first))
+    assert cli.main(["oracle", "compose", str(path), str(path), "--maxlen", "2"]) == 1
+    a, b = Symbol("a"), Symbol("b")
+    assert capsys.readouterr().out.splitlines() == [
+        f"MISMATCH on ab: composed={(b, a)} chained={(a, b)}",
+        f"MISMATCH on ba: composed={(a, b)} chained={(b, a)}",
+        "checked 7 words up to length 2: 2 mismatches",
+    ]
 
 
 def test_io_failure_exit_code(capsys):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from machines import iterated_reverse_fn, random_machine, words_upto
+from machines import (
+    compose_general_bound,
+    compose_simple_bound,
+    iterated_reverse_fn,
+    random_machine,
+    words_upto,
+)
 from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible, validate
 from pebbletx.builtins import copier, iterated_reverse, squaring
 from pebbletx.compose import (
@@ -79,7 +85,7 @@ def test_compose_simple_state_bound(modsq):
     comp = compose_simple(modsq, itrev)
     tn = comp.metadata["first_normalized"]
     sn = comp.metadata["second_normalized"]
-    assert len(comp.polarity) <= 2 * len(tn.polarity) * len(sn.polarity)
+    assert len(comp.polarity) <= compose_simple_bound(len(tn.polarity), len(sn.polarity))
 
 
 def test_compose_rewind_trace_fragment(modsq):
@@ -169,8 +175,8 @@ def test_general_state_bound(general_pair):
     _, _, comp = general_pair
     tn = comp.metadata["first_normalized"]
     sn = comp.metadata["second_normalized"]
-    q, qp, n, m = len(tn.polarity), len(sn.polarity), tn.k, sn.k
-    assert len(comp.polarity) <= (q ** (m + 2)) * qp * ((n + 1) ** (m + 3))
+    bound = compose_general_bound(len(tn.polarity), len(sn.polarity), tn.k, sn.k)
+    assert len(comp.polarity) <= bound
 
 
 def test_general_gadget_chain_lengths(general_pair):

@@ -8,6 +8,7 @@ import pytest
 
 from machines import (
     drop_two_then_copy_rest,
+    eliminate_equality_bound,
     equality_pair_probe,
     pick_any_letter,
     random_machine,
@@ -111,7 +112,7 @@ def test_eliminate_equality_of_composed_machine(constructed):
     assert comp.equality_tests_allowed
     basic = eliminate_equality(comp)
     assert not basic.equality_tests_allowed
-    assert len(basic.polarity) <= len(comp.polarity) * 2 ** (comp.k**2)
+    assert len(basic.polarity) <= eliminate_equality_bound(len(comp.polarity), comp.k)
     for u in words_upto("ab", 2):
         assert semantics(basic, u) == semantics(comp, u), u
     assert is_deterministic(basic)[0]

@@ -144,7 +144,7 @@ def test_test_of_op_matches_enabledness():
 
 
 def test_guards_match_reference_semantics():
-    # guard = "t can fire" as runner.enabled reads it; reverse_guard = "t can
+    # guard = "t can fire" as runner.step checks it; reverse_guard = "t can
     # be undone" as runner.step_back checks it, on the stack t produced
     rng = random.Random(11)
     for k in (1, 2, 3):

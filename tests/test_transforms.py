@@ -4,10 +4,15 @@ import random
 import pytest
 
 from machines import (
+    basic_consistent,
     drop_two_then_copy_rest,
+    eliminate_equality_bound,
     equality_pair_probe,
+    phi1,
+    phi2,
     pick_any_letter,
     random_machine,
+    separate_moves_bound,
     words_upto,
 )
 from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible, validate
@@ -26,12 +31,9 @@ from pebbletx.core import (
 )
 from pebbletx.runner import enumerate_runs, run, semantics, step
 from pebbletx.transforms import (
-    basic_consistent,
     consistent_bits,
     eliminate_equality,
     ensure_full_read,
-    phi1,
-    phi2,
     reverse_test_under_op,
     reverse_transducer,
     separate_drop_lift_moves,
@@ -172,6 +174,18 @@ def test_phi_commutes_with_ops():
                         assert update_matrix(op, alpha, b) == phi1(after, k)
 
 
+def test_basic_consistent_rejects_each_broken_invariant():
+    zero2, zero3 = (0, 0), (0, 0, 0)
+    assert basic_consistent(((1, 1), (1, 1)), zero2)
+    # I1: alpha is symmetric
+    assert not basic_consistent(((1, 1), (0, 1)), zero2)
+    # I1: alpha is transitive (1 ~ 2 and 2 ~ 3, but not 1 ~ 3)
+    assert not basic_consistent(((1, 1, 0), (1, 1, 1), (0, 1, 1)), zero3)
+    # I5: stack discipline, pebble 2 cannot be dropped while pebble 1 is not
+    assert not basic_consistent(((0, 0), (0, 1)), zero2)
+    assert not basic_consistent(((1, 0, 0), (0, 0, 0), (0, 0, 1)), zero3)
+
+
 def test_consistent_bits_are_the_basic_consistent_vectors():
     # phi1 of every stack gives every equivalence on a prefix of the pebbles
     for k in range(4):
@@ -195,7 +209,7 @@ def test_eliminate_equality_fixture_relation_preserved():
     probe = equality_pair_probe()
     basic = eliminate_equality(probe)
     assert validate(basic) == []
-    assert len(basic.polarity) <= len(probe.polarity) * 2 ** (probe.k**2)
+    assert len(basic.polarity) <= eliminate_equality_bound(len(probe.polarity), probe.k)
     for u in words_upto("ab", 3):
         budget = 300
         a = enumerate_runs(probe, u, budget=budget)
@@ -327,7 +341,7 @@ def test_ensure_full_read_preserves_partial_domain(ident):
 def test_separate_drop_lift_moves(sq, prefixes):
     for machine in (sq, prefixes):
         flat = separate_drop_lift_moves(machine)
-        assert len(flat.polarity) <= 3 * len(machine.polarity)
+        assert len(flat.polarity) <= separate_moves_bound(len(machine.polarity))
         assert is_reversible(flat)
         assert all(t.op.is_nop() or flat.pol(t.dst) == 0 for t in flat.transitions)
         for u in words_upto("ab", 4):

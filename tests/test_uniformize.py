@@ -6,9 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from machines import (
+    bell,
+    config_enumerator_states,
     config_markings_fn,
+    decompose_bound,
     drop_two_then_copy_rest,
     drop_two_then_copy_rest_fn,
+    equality_annotator_states,
     pick_any_letter,
     random_machine,
     words_upto,
@@ -20,6 +24,7 @@ from pebbletx.core import ENDMARKER, HookRequiredError, NoPebblesError, PebbleEr
 from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.twoway import (
+    RMARK,
     TwoWayConventionError,
     TwoWayTransition,
     run_two_way,
@@ -67,7 +72,7 @@ def test_ck_reversible_and_small():
         ck = build_config_enumerator(k, "ab")
         assert validate(ck) == []
         assert is_reversible(ck)
-        assert len(ck.polarity) == 5 * k + 1  # O(k) states
+        assert len(ck.polarity) == config_enumerator_states(k)  # O(k) states
 
 
 def test_ck_ordering_is_lexicographic():
@@ -125,18 +130,13 @@ def test_annotator_preserves_sequence():
                 assert sym.matrix == want
 
 
-BELL = (1, 1, 2, 5, 15, 52)
-
-
 def test_annotator_reversible():
     for k in (1, 2, 3, 4):
         ckeq = build_equality_annotator(k, "ab")
         assert validate(ckeq) == []
         assert is_reversible(ckeq), k
         assert ckeq.k == 0
-        # compute/undo over equivalences on pebble subsets, left/write over
-        # total equivalences, plus pi, pf and reset
-        assert len(ckeq.polarity) == 2 * BELL[k + 1] + 2 * BELL[k] + 3, k
+        assert len(ckeq.polarity) == equality_annotator_states(k), k
 
 
 def _is_total_equivalence(mat) -> bool:
@@ -165,7 +165,7 @@ def test_annotator_alphabet_is_realizable_and_read_by_simulator(k, sq):
     ckeq = build_equality_annotator(k, "ab")
     assert ckeq.output_alphabet == decompose(machine).input_alphabet
     # a, b and '#', each with B(k+1) (bits, matrix) pairs
-    assert len(ckeq.output_alphabet) == 3 * BELL[k + 1]
+    assert len(ckeq.output_alphabet) == 3 * bell(k + 1)
     for sym in ckeq.output_alphabet:
         mat, bits = sym.matrix, sym.bits
         assert _is_total_equivalence(mat), sym
@@ -218,6 +218,7 @@ def test_decomposition_identity(maker, oracle, k, sq):
     assert validate(t0) == []
     assert is_deterministic(t0)[0]
     assert t0.k == 0
+    assert len(t0.polarity) <= decompose_bound(len(machine.polarity), k)
     for u in words_upto("ab", 3):
         w1 = semantics(ck, u)
         w2 = semantics(ckeq, w1)
@@ -226,10 +227,8 @@ def test_decomposition_identity(maker, oracle, k, sq):
 
 
 def test_decomposition_state_bound(sq):
-    # at most 6 variants per (state, pebble count) after the op/move split,
-    # which itself at most triples the state count
     t0 = decompose(sq)
-    assert len(t0.polarity) <= 6 * (sq.k + 1) * (3 * len(sq.polarity)) + 2
+    assert len(t0.polarity) <= decompose_bound(len(sq.polarity), sq.k)
 
 
 def test_decompose_endmarker_crossings(sq):
@@ -379,6 +378,38 @@ def test_two_way_run_off_the_left_marker_rejects(ident):
     with pytest.raises(TwoWayConventionError, match="left-marker transition into a backward"):
         two_way_to_zero_pebble(bad)
     assert issubclass(TwoWayConventionError, PebbleError)
+
+
+_TWO_WAY_COPIER = zero_pebble_to_two_way(copier("ab"))
+_R0, _R1, _BACK = ("r", "c0"), ("r", "c1"), ("-", "c1")
+
+
+def _two_way_copier_edited(remove=(), add=(), **fields):
+    t2 = _TWO_WAY_COPIER
+    kept = tuple(t for t in t2.transitions if (t.src, t.letter) not in remove)
+    return dataclasses.replace(t2, transitions=kept + tuple(add), **fields)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_two_way_copier_edited(final=_BACK), "initial/final must be forward states"),
+    (_two_way_copier_edited(remove=[(_R0, RMARK)], add=[TwoWayTransition(_R0, RMARK, _R1)]),
+     "right-marker transition must enter backward or final"),
+    (_two_way_copier_edited(add=[TwoWayTransition(("i",), Symbol("a"), _R0)]),
+     "initial state may only read the left marker"),
+    (_two_way_copier_edited(add=[TwoWayTransition(_R0, Symbol("a"), ("f",))]),
+     "final state may only be entered reading the right marker"),
+    (_two_way_copier_edited(add=[TwoWayTransition(("f",), Symbol("a"), _R1)]),
+     "no transitions may leave the final state"),
+    (_two_way_copier_edited(add=[TwoWayTransition(_R0, Symbol("a"), ("i",))]),
+     "no transitions may enter the initial state"),
+])
+def test_two_way_conversion_names_each_convention_violation(bad, message):
+    # one edit of the copier's two-way machine per convention (the
+    # left-marker one is test_two_way_run_off_the_left_marker_rejects);
+    # conversion refuses it and names the violation first found
+    assert two_way_violations(bad)[0].startswith(message)
+    with pytest.raises(TwoWayConventionError, match=message):
+        two_way_to_zero_pebble(bad)
 
 
 def test_two_way_marker_transitions_do_not_overlap(itrev):
