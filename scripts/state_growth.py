@@ -2,11 +2,16 @@
 """Measure construction sizes against their stated bounds on the corpus.
 
 The bounds are the functions in ``tests/machines.py`` that the tests
-assert, so the printed bound is the tested one.
+assert, so the printed bound is the tested one.  The last rows time the
+left-associated squaring chains sq∘sq and sq^3, each with a cold
+``satisfiable`` cache: the build (``compose``, whose precondition checks
+run ``is_reversible`` on the first machine) and ``is_reversible`` on the
+result.
 """
 
 import pathlib
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -22,6 +27,7 @@ from machines import (  # noqa: E402
     separate_moves_bound,
 )
 
+from pebbletx.analysis import is_reversible  # noqa: E402
 from pebbletx.builtins import (  # noqa: E402
     all_prefixes_reversed,
     copier,
@@ -30,6 +36,7 @@ from pebbletx.builtins import (  # noqa: E402
     squaring,
 )
 from pebbletx.compose import compose  # noqa: E402
+from pebbletx.core import satisfiable  # noqa: E402
 from pebbletx.decompose import (  # noqa: E402
     build_config_enumerator,
     build_equality_annotator,
@@ -51,10 +58,10 @@ def main() -> int:
         row(f"  eliminate_equality({machine.name})", len(basic.polarity),
             eliminate_equality_bound(n, k))
 
-    print("\nop/move separation (states <= 3|Q|):")
+    print("\nop/move separation (states <= (2k+1)|Q|):")
     flat = separate_drop_lift_moves(sq)
     row("  separate_drop_lift_moves(squaring)", len(flat.polarity),
-        separate_moves_bound(len(sq.polarity)))
+        separate_moves_bound(len(sq.polarity), sq.k))
 
     print("\nsimple composition (states <= 2|Q||Q'| post-normalization):")
     comp = compose(modified_squaring("bcd"), iterated_reverse("bcd"))
@@ -84,6 +91,21 @@ def main() -> int:
     t0 = decompose(sq)
     row("  simulator(squaring) (O(kn))", len(t0.polarity),
         f"6k(3n)+2 = {decompose_bound(len(sq.polarity), sq.k)}")
+
+    print("\nsquaring chains (cold satisfiable cache):")
+    chain = sq
+    for power in (2, 3):
+        satisfiable.cache_clear()
+        start = time.perf_counter()
+        chain = compose(chain, squaring(sorted(chain.output_alphabet)))
+        built = time.perf_counter() - start
+        satisfiable.cache_clear()
+        start = time.perf_counter()
+        reversible = is_reversible(chain)
+        checked = time.perf_counter() - start
+        print(f"  sq^{power}: {len(chain.polarity)} states, {len(chain.transitions)} "
+              f"transitions, k={chain.k}, build {built:.3f} s, "
+              f"is_reversible {checked:.3f} s ({reversible})")
     return 0
 
 

@@ -96,15 +96,16 @@ def _first_conflict(
     machine: Transducer, end: str, guard_of, direction: str
 ) -> tuple[bool, Optional[ConflictWitness]]:
     """The first pair in a group of ``machine.groups(end)`` whose
-    ``guard_of`` guards are jointly satisfiable."""
+    ``guard_of`` guards are jointly satisfiable.  A pair where one guard
+    holds an atom and the other its negation is skipped unbuilt."""
     k = machine.k
     for group in machine.groups(end).values():
         if len(group) < 2:
             continue
         guards = [guard_of(t, k) for t in group]
-        for (t1, g1), (t2, g2) in combinations(zip(group, guards), 2):
-            joint = g1.conjoin(g2)
-            if satisfiable(joint, k):
+        negations = [{(i, j, not n) for i, j, n in g.atoms} for g in guards]
+        for (t1, g1, _), (t2, g2, n2) in combinations(zip(group, guards, negations), 2):
+            if n2.isdisjoint(g1.atoms) and satisfiable(joint := g1.conjoin(g2), k):
                 return False, ConflictWitness(t1, t2, direction, joint)
     return True, None
 

@@ -6,7 +6,9 @@ conjunctions of (negated) equality atoms ``x_i = x_j`` over the positions
 ``x_0`` (the head) and ``x_1..x_k`` (the pebbles, bottom first), so an atom
 comparing the head with a pebble and one comparing two pebbles are one
 type, read one way.  Everything in this module is an immutable value; all
-operations are pure functions.
+operations are pure functions.  ``Symbol``, ``Atom``, ``Test``, ``PebbleOp``
+and ``Transition`` are tuple-backed: each equals the plain tuple of its
+fields and hashes, compares and sorts in C (``Symbol`` by ``sort_key``).
 
 ``guard`` and ``reverse_guard`` are the one definition of when a
 transition can fire and when it can be undone; the runner, the analysis
@@ -21,7 +23,7 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class PebbleError(Exception):
@@ -68,8 +70,7 @@ class PebbleIndexError(PebbleError, IndexError):
 # Symbols
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """An input/output letter: a base character plus optional annotations.
 
     ``bits`` marks which pebbles sit on the position that produced the
@@ -88,6 +89,15 @@ class Symbol:
 
     def __lt__(self, other: "Symbol") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "Symbol") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "Symbol") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "Symbol") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def is_endmarker(self) -> bool:
         return self.base == "#" and self.bits is None and self.matrix is None
@@ -136,8 +146,7 @@ def letter_at(word: tuple[Symbol, ...], h: int) -> Symbol:
 # Atoms and tests
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple("Atom", [("i", int), ("j", int), ("negated", bool)])):
     """One (possibly negated) equality atom ``x_i = x_j``.
 
     ``x_0`` is the head and ``x_1..x_k`` are the pebbles, so ``h = p_j`` is
@@ -146,17 +155,13 @@ class Atom:
     atoms before pebble atoms, each by pebble index.
     """
 
-    i: int
-    j: int
-    negated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.i > self.j:
-            i, j = self.i, self.j
-            object.__setattr__(self, "i", j)
-            object.__setattr__(self, "j", i)
-        if self.i < 0 or self.j < 1:
-            raise PebbleIndexError(f"pebble indices start at 1: {self.render()}")
+    def __new__(cls, i: int, j: int, negated: bool = False) -> "Atom":
+        atom = tuple.__new__(cls, (i, j, negated) if i <= j else (j, i, negated))
+        if atom.i < 0 or atom.j < 1:
+            raise PebbleIndexError(f"pebble indices start at 1: {atom.render()}")
+        return atom
 
     def negate(self) -> "Atom":
         return Atom(self.i, self.j, not self.negated)
@@ -178,8 +183,7 @@ def peb_eq(i: int, j: int, negated: bool = False) -> Atom:
     return Atom(i, j, negated)
 
 
-@dataclass(frozen=True)
-class Test:
+class Test(NamedTuple):
     """A conjunction of atoms (empty = true), or the unsatisfiable constant.
 
     Atoms are kept sorted and deduplicated so structural equality of
@@ -219,18 +223,17 @@ FALSE = Test((), True)
 # Pebble operations
 
 
-@dataclass(frozen=True, order=True)
-class PebbleOp:
+class PebbleOp(NamedTuple("PebbleOp", [("kind", str), ("index", int)])):
     """``nop``, ``drop(i)`` or ``lift(i)``; index 0 is reserved for nop."""
 
-    kind: str
-    index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("nop", "drop", "lift"):
-            raise ValueError(f"bad op kind {self.kind!r}")
-        if (self.kind == "nop") != (self.index == 0):
-            raise ValueError(f"bad op index {self.index} for {self.kind}")
+    def __new__(cls, kind: str, index: int = 0) -> "PebbleOp":
+        if kind not in ("nop", "drop", "lift"):
+            raise ValueError(f"bad op kind {kind!r}")
+        if (kind == "nop") != (index == 0):
+            raise ValueError(f"bad op index {index} for {kind}")
+        return tuple.__new__(cls, (kind, index))
 
     def is_nop(self) -> bool:
         return self.kind == "nop"
@@ -418,8 +421,7 @@ def satisfiable(t: Test, k: int) -> bool:
 State = object  # any hashable
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: object
     letter: Symbol
     test: Test

@@ -1,6 +1,6 @@
 """Shared fixture machines and independent functional oracles for the tests,
-the construction-size bounds they assert, and the equality-abstraction
-references.
+the construction-size bounds they assert, and the equality-abstraction and
+conflict-search references.
 
 The oracles are written directly from the function definitions (no pebble
 semantics involved) so they can serve as ground truth for the machines.
@@ -137,6 +137,20 @@ def semantically_reverse_deterministic(machine: Transducer, word) -> bool:
     )
 
 
+def first_conflict_reference(machine: Transducer, end: str, guard_of, direction: str):
+    """``analysis._first_conflict`` without its complementary-atom skip:
+    every pair of a group has its joint guard built and checked."""
+    from pebbletx.analysis import ConflictWitness
+    from pebbletx.core import satisfiable
+
+    for group in machine.groups(end).values():
+        for t1, t2 in itertools.combinations(group, 2):
+            joint = guard_of(t1, machine.k).conjoin(guard_of(t2, machine.k))
+            if satisfiable(joint, machine.k):
+                return False, ConflictWitness(t1, t2, direction, joint)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Construction size bounds
 #
@@ -159,11 +173,11 @@ def eliminate_equality_bound(states: int, k: int) -> int:
     return states * 2 ** (k * k)
 
 
-def separate_moves_bound(states: int) -> int:
-    """3|Q|, the stated bound of the op/move split.  The split adds one held
-    state per (state, pebble operation) pair, so it holds while states
-    average at most two distinct pebble operations."""
-    return 3 * states
+def separate_moves_bound(states: int, k: int) -> int:
+    """(2k+1)|Q| for the op/move split: it adds one held state per distinct
+    (state, non-nop operation) pair, and a state has at most 2k such
+    operations, drop_1..drop_k and lift_1..lift_k.  At k = 1 this is 3|Q|."""
+    return (2 * k + 1) * states
 
 
 def compose_simple_bound(first_states: int, second_states: int) -> int:
@@ -192,8 +206,11 @@ def equality_annotator_states(k: int) -> int:
 def decompose_bound(states: int, k: int) -> int:
     """6k(3|Q|) + 2 for k >= 1.  T_0's states are (q, i, mode) over the
     |Q'| states of the op/move split, 0 <= i <= k and three modes, plus the
-    entry and exit states: 3(k+1)|Q'| + 2, which is at most 6k(3|Q|) + 2
-    while the split keeps to its 3|Q| bound."""
+    entry and exit states: 3(k+1)|Q'| + 2.  That is at most 6k(3|Q|) + 2
+    when |Q'| <= 3|Q|, which ``separate_moves_bound`` guarantees only at
+    k = 1; for larger k it holds on the machines the tests check, and a
+    machine with more than two distinct pebble operations per state may
+    exceed it."""
     return 6 * k * 3 * states + 2
 
 

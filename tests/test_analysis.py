@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from machines import (
     brute_force_satisfiable,
     equality_pair_probe,
+    first_conflict_reference,
     random_machine,
     semantically_deterministic,
     semantically_reverse_deterministic,
@@ -19,7 +20,18 @@ from pebbletx.analysis import (
     validate,
 )
 from pebbletx.builtins import copier
-from pebbletx.core import ENDMARKER, NOP, Symbol, TRUE, Test, Transition, drop, peb_eq
+from pebbletx.core import (
+    ENDMARKER,
+    NOP,
+    TRUE,
+    Symbol,
+    Test,
+    Transition,
+    drop,
+    guard,
+    peb_eq,
+    reverse_guard,
+)
 from pebbletx.transforms import _reverse_unchecked
 
 
@@ -166,6 +178,24 @@ def test_syntactic_matches_semantic_on_generated_machines(seed, k):
         assert ok == all(semantic(machine, u) for u in words_upto("ab", 3))
         if witness is not None:
             assert brute_force_satisfiable(witness.joint_test, machine.k, machine.k + 2)
+
+
+def test_complementary_skip_keeps_verdicts_and_witnesses():
+    # a pair whose guards hold an atom and its negation is skipped unbuilt;
+    # it is unsatisfiable, so the first conflicting pair is unchanged
+    rng = random.Random(3)
+    negatives = 0
+    for k in (0, 1, 2, 3):
+        for _ in range(150):
+            machine = random_machine(rng, k=k)
+            for check, end, guard_of, direction in (
+                (is_deterministic, "src", guard, "forward"),
+                (is_reverse_deterministic, "dst", reverse_guard, "backward"),
+            ):
+                verdict = check(machine)
+                assert verdict == first_conflict_reference(machine, end, guard_of, direction)
+                negatives += not verdict[0]
+    assert negatives > 300
 
 
 def test_reverse_determinism_equals_determinism_of_reverse(sq, prefixes, itrev):

@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,6 +14,7 @@ from pebbletx.core import (
     TRUE,
     Atom,
     PebbleError,
+    PebbleOp,
     Symbol,
     Test,
     Transition,
@@ -201,7 +202,7 @@ def test_test_canonical_form():
     assert peb_eq(2, 1) == peb_eq(1, 2)
     # an atom is x_i = x_j with x_0 the head: head atoms sort first, each
     # kind by pebble index, so Test.of and serialize order is plain tuple order
-    assert [f.name for f in dataclasses.fields(Atom)] == ["i", "j", "negated"]
+    assert Atom._fields == ("i", "j", "negated")
     assert head_eq(2) == Atom(0, 2) and peb_eq(1, 2, True) == Atom(1, 2, True)
     assert Test.of(peb_eq(1, 1), head_eq(2), head_eq(1, True)).atoms == (
         head_eq(1, True), head_eq(2), peb_eq(1, 1)
@@ -210,9 +211,62 @@ def test_test_canonical_form():
 
 def test_atom_pebble_indices_start_at_one():
     # x_0 is the head, so no pebble index may be 0 (or below)
-    for make in (lambda: head_eq(0), lambda: head_eq(-1), lambda: peb_eq(0, 1)):
+    for make in (lambda: head_eq(0), lambda: head_eq(-1), lambda: peb_eq(0, 1),
+                 lambda: Atom(0, 0), lambda: Atom(1, -1)):
         with pytest.raises(PebbleError):
             make()
+
+
+@pytest.mark.parametrize("kind, index", [("x", 0), ("nop", 1), ("drop", 0), ("lift", 0)])
+def test_pebble_op_rejects_bad_kind_or_index(kind, index):
+    with pytest.raises(ValueError):
+        PebbleOp(kind, index)
+
+
+_SYM = Symbol("a", (1, 0), ((1, 0), (0, 0)))
+_VALUES = [
+    (Symbol("a"), "Symbol('a')"),
+    (Symbol("a", (1,)), "Symbol('_a')"),
+    (_SYM, "Symbol('{a;10;10|00}')"),
+    (Atom(2, 1, True), "Atom(i=1, j=2, negated=True)"),
+    (head_eq(3), "Atom(i=0, j=3, negated=False)"),
+    (TRUE, "Test(true)"),
+    (FALSE, "Test(false)"),
+    (Test.of(peb_eq(1, 2, True), head_eq(1)), "Test(h=p1 & !p1=p2)"),
+    (NOP, "PebbleOp(nop)"),
+    (drop(2), "PebbleOp(drop2)"),
+    (lift(1), "PebbleOp(lift1)"),
+    (Transition(("q", 1), _SYM, Test.of(head_eq(1)), lift(1), "r", (Symbol("b"),)),
+     "Transition(src=('q', 1), letter=Symbol('{a;10;10|00}'), "
+     "test=Test(h=p1), op=PebbleOp(lift1), dst='r', out=(Symbol('b'),))"),
+]
+
+
+@pytest.mark.parametrize("value, text", _VALUES)
+def test_value_repr_and_pickle(value, text):
+    # .ptx state names are reprs of states built from these values
+    assert repr(value) == text
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value and hash(back) == hash(value)
+    assert repr(back) == text
+    # tuple-backed: equal to, and hashed as, the plain tuple of the fields,
+    # with no instance state, so no hash is pickled that another
+    # PYTHONHASHSEED would make stale
+    assert value == tuple(value) and hash(value) == hash(tuple(value))
+    assert not hasattr(value, "__dict__")
+
+
+def test_symbol_orders_by_sort_key():
+    # bits/matrix None sort as (), so every operator agrees with sort_key
+    # where a plain tuple comparison of None with a tuple would raise
+    symbols = [Symbol("a"), Symbol("a", (1,)), Symbol("a", None, ((1,),)),
+               Symbol("a", (0,), ((1,),)), Symbol("b"), Symbol("#"), Symbol("#", (1,))]
+    for x, y in itertools.product(symbols, repeat=2):
+        kx, ky = x.sort_key(), y.sort_key()
+        assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+        assert min(x, y).sort_key() == min(kx, ky)
+        assert max(x, y).sort_key() == max(kx, ky)
+    assert sorted(symbols) == sorted(symbols, key=Symbol.sort_key)
 
 
 def test_symbol_structural_equality():

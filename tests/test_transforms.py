@@ -17,11 +17,13 @@ from machines import (
 )
 from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible, validate
 from pebbletx.core import (
+    ENDMARKER,
     NOP,
     NotReversibleError,
     Symbol,
     Test,
     TRUE,
+    Transducer,
     Transition,
     drop,
     head_eq,
@@ -37,6 +39,7 @@ from pebbletx.transforms import (
     reverse_test_under_op,
     reverse_transducer,
     separate_drop_lift_moves,
+    separate_ops_unchecked,
     split_outputs,
     update_matrix,
 )
@@ -341,11 +344,25 @@ def test_ensure_full_read_preserves_partial_domain(ident):
 def test_separate_drop_lift_moves(sq, prefixes):
     for machine in (sq, prefixes):
         flat = separate_drop_lift_moves(machine)
-        assert len(flat.polarity) <= separate_moves_bound(len(machine.polarity))
+        assert len(flat.polarity) <= separate_moves_bound(len(machine.polarity), machine.k)
         assert is_reversible(flat)
         assert all(t.op.is_nop() or flat.pol(t.dst) == 0 for t in flat.transitions)
         for u in words_upto("ab", 4):
             assert semantics(flat, u) == semantics(machine, u)
+
+
+def test_separate_adds_one_held_state_per_distinct_op():
+    # a middle state with all 2k pebble operations gets 2k held states:
+    # 11 states from 3, above 3|Q| = 9 and within (2k+1)|Q| = 27
+    a = Symbol("a")
+    ts = [Transition("i", ENDMARKER, TRUE, NOP, "m"), Transition("m", ENDMARKER, TRUE, NOP, "f")]
+    ts += [Transition("m", a, TRUE, op(j), "m") for op in (drop, lift) for j in range(1, 5)]
+    machine = Transducer("all_ops", 4, frozenset({a}), frozenset({a}),
+                         {"i": 0, "m": 1, "f": 0}, "i", "f", tuple(ts))
+    assert validate(machine) == []
+    flat = separate_ops_unchecked(machine)
+    assert len(flat.polarity) == 11 > 3 * len(machine.polarity)
+    assert len(flat.polarity) <= separate_moves_bound(len(machine.polarity), machine.k)
 
 
 def test_separate_noop_on_pure_nop_machine(itrev):

@@ -24,8 +24,10 @@ from pebbletx.core import ENDMARKER, HookRequiredError, NoPebblesError, PebbleEr
 from pebbletx.decompose import build_config_enumerator, build_equality_annotator, decompose
 from pebbletx.runner import enumerate_runs, run, semantics
 from pebbletx.twoway import (
+    LMARK,
     RMARK,
     TwoWayConventionError,
+    TwoWayTransducer,
     TwoWayTransition,
     run_two_way,
     two_way_is_deterministic,
@@ -349,6 +351,47 @@ def test_two_way_preserves_reversibility(itrev, ident):
         assert two_way_is_reverse_deterministic(t2)
         assert two_way_is_reversible(t2) == is_reversible(machine)
         assert is_reversible(two_way_to_zero_pebble(t2))
+
+
+def _two_way(forward, backward, arcs) -> TwoWayTransducer:
+    a = Symbol("a")
+    transitions = tuple(TwoWayTransition(src, a if letter == "a" else letter, dst)
+                        for src, letter, dst in arcs)
+    return TwoWayTransducer("t", frozenset(forward), frozenset(backward), frozenset({a}),
+                            frozenset(), "i", "end", transitions)
+
+
+def _sweeper(sweeps: int) -> TwoWayTransducer:
+    """Crosses the whole tape 2 * sweeps - 1 times: forward sweep s reads
+    every letter and the right marker, backward sweep s comes back to the
+    left marker."""
+    fwd = [("f", s) for s in range(1, sweeps + 1)]
+    bwd = [("b", s) for s in range(1, sweeps)]
+    arcs = [("i", LMARK, fwd[0]), (fwd[-1], RMARK, "end")]
+    arcs += [(state, "a", state) for state in fwd + bwd]
+    arcs += [(f, RMARK, b) for f, b in zip(fwd, bwd)] + [(b, LMARK, f) for b, f in zip(bwd, fwd[1:])]
+    return _two_way(fwd + ["i", "end"], bwd, arcs)
+
+
+@pytest.mark.parametrize("sweeps, n", [(1, 0), (3, 2), (6, 8)])
+def test_run_two_way_default_budget_admits_a_long_accepting_run(sweeps, n):
+    # each crossing reads the n letters and one marker: 1 + (2 sweeps - 1)(n + 1)
+    # steps, within the default |Q|(n + 3) + 1 and cut off by one step fewer
+    t2 = _sweeper(sweeps)
+    assert two_way_violations(t2) == [] and two_way_is_deterministic(t2)
+    steps = 1 + (2 * sweeps - 1) * (n + 1)
+    u = "a" * n
+    assert run_two_way(t2, u) == run_two_way(t2, u, budget=steps) == ("accept", ())
+    assert run_two_way(t2, u, budget=steps - 1) == ("diverge", None)
+
+
+def test_run_two_way_reports_a_loop_as_divergence():
+    # on a letter, f turns back onto the left marker and b turns forward again
+    loop = _two_way(["i", "f", "end"], ["b"],
+                    [("i", LMARK, "f"), ("f", "a", "b"), ("b", LMARK, "f"), ("f", RMARK, "end")])
+    assert two_way_violations(loop) == [] and two_way_is_deterministic(loop)
+    assert run_two_way(loop, "") == ("accept", ())
+    assert run_two_way(loop, "a") == ("diverge", None)
 
 
 def test_two_way_nondeterminism_is_a_pebble_error(ident):
