@@ -146,6 +146,13 @@ def letter_at(word: tuple[Symbol, ...], h: int) -> Symbol:
 # Atoms and tests
 
 
+@classmethod
+def _make_through_new(cls, iterable):
+    """The namedtuple ``_make``, which ``_replace`` also calls, built through
+    ``cls.__new__`` so that neither skips its validation."""
+    return cls(*iterable)
+
+
 class Atom(NamedTuple("Atom", [("i", int), ("j", int), ("negated", bool)])):
     """One (possibly negated) equality atom ``x_i = x_j``.
 
@@ -162,6 +169,8 @@ class Atom(NamedTuple("Atom", [("i", int), ("j", int), ("negated", bool)])):
         if atom.i < 0 or atom.j < 1:
             raise PebbleIndexError(f"pebble indices start at 1: {atom.render()}")
         return atom
+
+    _make = _make_through_new
 
     def negate(self) -> "Atom":
         return Atom(self.i, self.j, not self.negated)
@@ -234,6 +243,8 @@ class PebbleOp(NamedTuple("PebbleOp", [("kind", str), ("index", int)])):
         if (kind == "nop") != (index == 0):
             raise ValueError(f"bad op index {index} for {kind}")
         return tuple.__new__(cls, (kind, index))
+
+    _make = _make_through_new
 
     def is_nop(self) -> bool:
         return self.kind == "nop"

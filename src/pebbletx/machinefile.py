@@ -4,11 +4,20 @@ The reserved endmarker never appears in files: a transition reading it
 stores ``null`` as its letter.  Plain letters are one-character strings,
 annotated letters objects ``{"base": ..., "bits": ..., "matrix": ...}``.
 Unknown fields are rejected so files round-trip losslessly.
+
+The canonical form ``serialize`` writes: states sorted by id; transitions
+sorted by their compact sorted-keys JSON (``json.dumps(t, sort_keys=True)``,
+non-ASCII escaped); the whole file indented by 2 spaces with UTF-8 left
+unescaped (``json.dumps(doc, indent=2, ensure_ascii=False)``) plus a final
+newline.  ``serialize`` writes it from per-value fragments, each distinct
+field value encoded once, and ``tests/machines.serialize_reference``, which
+encodes the whole document with ``json.dumps``, pins it byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .core import (
     ENDMARKER,
@@ -189,46 +198,77 @@ def state_name(state) -> str:
     return state if isinstance(state, str) else repr(state)
 
 
+# Compact sorted-keys JSON (the transition sort key) and the file's text.
+_KEY = json.JSONEncoder(sort_keys=True).encode
+_TEXT = json.JSONEncoder(indent=2, ensure_ascii=False).encode
+_FIELD_BREAK = "\n" + " " * 6  # a transition field sits 6 spaces deep
+
+
+class _Fragments(dict):
+    """Field value -> (``_KEY`` text, ``_TEXT`` text at a transition field's
+    depth), each distinct value encoded once.  Encoded JSON holds no raw
+    newline, so re-indenting is one ``replace``.  One memo per field: values
+    of different fields can compare equal (tuple-backed values equal plain
+    tuples) and still encode differently."""
+
+    def __init__(self, to_json):
+        self.to_json = to_json
+
+    def __missing__(self, value):
+        obj = self.to_json(value)
+        pair = self[value] = (_KEY(obj), _TEXT(obj).replace("\n", _FIELD_BREAK))
+        return pair
+
+
+def _output_to_json(out: tuple[Symbol, ...]) -> list:
+    return [_symbol_to_json(s) for s in out]
+
+
 def serialize(machine: Transducer) -> str:
-    """Canonical textual form: states and transitions sorted, stable keys."""
+    """The canonical text of ``machine`` (see the module docstring)."""
     names = {s: state_name(s) for s in machine.polarity}
     if len(set(names.values())) != len(names):
         raise MachineFileError("states", "state names collide under stringification")
-
-    def sym_key(s: Symbol):
-        return s.sort_key()
-
-    states = sorted(
-        ({"id": names[s], "polarity": machine.pol(s)} for s in machine.polarity),
-        key=lambda d: d["id"],
+    ids = {s: (_KEY(n), _TEXT(n)) for s, n in names.items()}
+    polarities = {p: _TEXT(p) for p in set(machine.polarity.values())}
+    letters, tests, ops, outputs = (
+        _Fragments(f) for f in (_symbol_to_json, _test_to_json, _op_to_json, _output_to_json)
     )
-    transitions = sorted(
-        (
-            {
-                "from": names[t.src],
-                "letter": _symbol_to_json(t.letter),
-                "test": _test_to_json(t.test),
-                "op": _op_to_json(t.op),
-                "to": names[t.dst],
-                "output": [_symbol_to_json(s) for s in t.out],
-            }
-            for t in machine.transitions
-        ),
-        key=lambda d: json.dumps(d, sort_keys=True),
-    )
-    doc = {
+    rows = []
+    for t in machine.transitions:
+        src, dst = ids[t.src], ids[t.dst]
+        letter, test, op, out = letters[t.letter], tests[t.test], ops[t.op], outputs[t.out]
+        rows.append((
+            f'{{"from": {src[0]}, "letter": {letter[0]}, "op": {op[0]}, '
+            f'"output": {out[0]}, "test": {test[0]}, "to": {dst[0]}}}',
+            f'    {{\n      "from": {src[1]},\n      "letter": {letter[1]},'
+            f'\n      "test": {test[1]},\n      "op": {op[1]},'
+            f'\n      "to": {dst[1]},\n      "output": {out[1]}\n    }}',
+        ))
+    rows.sort(key=itemgetter(0))
+    states = [
+        f'    {{\n      "id": {ids[s][1]},\n      "polarity": {polarities[machine.pol(s)]}\n    }}'
+        for s in sorted(names, key=names.__getitem__)
+    ]
+    header = _TEXT({
         "format_version": FORMAT_VERSION,
         "name": machine.name,
         "pebbles": machine.k,
         "equality_tests": machine.equality_tests_allowed,
-        "input_alphabet": [_symbol_to_json(s) for s in sorted(machine.input_alphabet, key=sym_key)],
-        "output_alphabet": [_symbol_to_json(s) for s in sorted(machine.output_alphabet, key=sym_key)],
-        "states": states,
-        "initial": names[machine.initial],
-        "final": names[machine.final],
-        "transitions": transitions,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False) + "\n"
+        "input_alphabet": [_symbol_to_json(s) for s in sorted(machine.input_alphabet, key=Symbol.sort_key)],
+        "output_alphabet": [_symbol_to_json(s) for s in sorted(machine.output_alphabet, key=Symbol.sort_key)],
+    })
+    return "".join((  # the header up to its closing "\n}", then the other fields
+        header[:-2], ',\n  "states": ', _block(states),
+        ',\n  "initial": ', ids[machine.initial][1],
+        ',\n  "final": ', ids[machine.final][1],
+        ',\n  "transitions": ', _block([text for _, text in rows]), "\n}\n",
+    ))
+
+
+def _block(items: list[str]) -> str:
+    """A top-level list of pre-indented items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 _TOP_FIELDS = {

@@ -89,7 +89,10 @@ def two_way_violations(t2: TwoWayTransducer) -> list[str]:
     v = []
     if t2.initial not in t2.forward or t2.final not in t2.forward:
         v.append("initial/final must be forward states")
+    states = t2.states
     for t in t2.transitions:
+        if t.src not in states or t.dst not in states:
+            v.append(f"transition touches a state neither forward nor backward: {t}")
         if t.letter == LMARK and t.dst not in t2.forward:
             v.append(f"left-marker transition into a backward state: {t}")
         if t.letter == RMARK and not (t.dst == t2.final or t.dst in t2.backward):

@@ -1,6 +1,6 @@
 """Shared fixture machines and independent functional oracles for the tests,
-the construction-size bounds they assert, and the equality-abstraction and
-conflict-search references.
+the construction-size bounds they assert, and the equality-abstraction,
+conflict-search and canonical-file references.
 
 The oracles are written directly from the function definitions (no pebble
 semantics involved) so they can serve as ground truth for the machines.
@@ -9,6 +9,7 @@ semantics involved) so they can serve as ground truth for the machines.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from math import comb
 
@@ -26,6 +27,14 @@ from pebbletx.core import (
     lift,
     peb_eq,
     word_symbols,
+)
+from pebbletx.machinefile import (
+    FORMAT_VERSION,
+    MachineFileError,
+    _op_to_json,
+    _symbol_to_json,
+    _test_to_json,
+    state_name,
 )
 
 # ---------------------------------------------------------------------------
@@ -267,6 +276,55 @@ def basic_consistent(alpha: Matrix, b: Bits) -> bool:
         if alpha[j][j] and not alpha[j - 1][j - 1]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Canonical-file reference
+#
+# The canonical .ptx text built as one document and encoded whole by
+# ``json.dumps``; ``machinefile.serialize`` must write the same bytes.
+
+
+def serialize_reference(machine: Transducer) -> str:
+    """Canonical textual form: states and transitions sorted, stable keys."""
+    names = {s: state_name(s) for s in machine.polarity}
+    if len(set(names.values())) != len(names):
+        raise MachineFileError("states", "state names collide under stringification")
+
+    def sym_key(s: Symbol):
+        return s.sort_key()
+
+    states = sorted(
+        ({"id": names[s], "polarity": machine.pol(s)} for s in machine.polarity),
+        key=lambda d: d["id"],
+    )
+    transitions = sorted(
+        (
+            {
+                "from": names[t.src],
+                "letter": _symbol_to_json(t.letter),
+                "test": _test_to_json(t.test),
+                "op": _op_to_json(t.op),
+                "to": names[t.dst],
+                "output": [_symbol_to_json(s) for s in t.out],
+            }
+            for t in machine.transitions
+        ),
+        key=lambda d: json.dumps(d, sort_keys=True),
+    )
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "name": machine.name,
+        "pebbles": machine.k,
+        "equality_tests": machine.equality_tests_allowed,
+        "input_alphabet": [_symbol_to_json(s) for s in sorted(machine.input_alphabet, key=sym_key)],
+        "output_alphabet": [_symbol_to_json(s) for s in sorted(machine.output_alphabet, key=sym_key)],
+        "states": states,
+        "initial": names[machine.initial],
+        "final": names[machine.final],
+        "transitions": transitions,
+    }
+    return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

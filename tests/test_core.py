@@ -14,6 +14,7 @@ from pebbletx.core import (
     TRUE,
     Atom,
     PebbleError,
+    PebbleIndexError,
     PebbleOp,
     Symbol,
     Test,
@@ -221,6 +222,22 @@ def test_atom_pebble_indices_start_at_one():
 def test_pebble_op_rejects_bad_kind_or_index(kind, index):
     with pytest.raises(ValueError):
         PebbleOp(kind, index)
+
+
+def test_make_and_replace_validate_like_the_constructor():
+    # the namedtuple _make and _replace build through __new__ as well
+    atom = Atom._make((2, 1, False))
+    assert atom == Atom(1, 2) and tuple(atom) == (1, 2, False) and type(atom) is Atom
+    assert head_eq(1)._replace(i=3) == Atom(1, 3)
+    with pytest.raises(PebbleIndexError):
+        Atom._make((0, 0, False))
+    with pytest.raises(PebbleIndexError):
+        head_eq(1)._replace(j=0)
+    assert PebbleOp._make(("lift", 2)) == lift(2) and type(drop(1)._replace(index=2)) is PebbleOp
+    with pytest.raises(ValueError):
+        drop(1)._replace(index=0)
+    with pytest.raises(ValueError):
+        PebbleOp._make(("nop", 1))
 
 
 _SYM = Symbol("a", (1, 0), ((1, 0), (0, 0)))

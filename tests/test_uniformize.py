@@ -455,6 +455,22 @@ def test_two_way_conversion_names_each_convention_violation(bad, message):
         two_way_to_zero_pebble(bad)
 
 
+def test_two_way_transition_into_an_undeclared_state_is_a_violation():
+    # run_two_way would run "ghost" as a backward state between f and the
+    # left marker, outside the step budget its declared states give
+    a = Symbol("a")
+    t2 = TwoWayTransducer(
+        "ghost", frozenset({"i", "f", "fin"}), frozenset(), frozenset({a}), frozenset(),
+        "i", "fin",
+        (TwoWayTransition("i", LMARK, "f"), TwoWayTransition("f", a, "ghost"),
+         TwoWayTransition("ghost", LMARK, "f"), TwoWayTransition("f", RMARK, "fin")),
+    )
+    message = "transition touches a state neither forward nor backward"
+    assert [v.split(":")[0] for v in two_way_violations(t2)] == [message] * 2
+    with pytest.raises(TwoWayConventionError, match=message):
+        two_way_to_zero_pebble(t2)
+
+
 def test_two_way_marker_transitions_do_not_overlap(itrev):
     t2 = zero_pebble_to_two_way(itrev)
     back = two_way_to_zero_pebble(t2)
