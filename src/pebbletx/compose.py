@@ -60,7 +60,7 @@ from .core import (
 )
 from .transforms import ensure_full_read, separate_ops_unchecked, split_outputs
 
-__all__ = ["compose", "compose_simple", "compose_general", "xi_bar", "build_xi"]
+__all__ = ["compose", "compose_simple", "compose_general", "xi_bar"]
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +197,6 @@ def _xi_base(d: int, phi: Test, op: PebbleOp, n: int, r: int) -> Test:
     )
 
 
-def _conjoin_xi(base: Test, q, xbar, ybar, psi: Test, r: int) -> list[Test]:
-    if base.false:
-        return []
-    return [base.conjoin(term) for term in xi_bar(q, xbar, ybar, psi, r) if not term.false]
-
-
-def build_xi(
-    q, xbar, ybar, phi: Test, op: PebbleOp, psi: Test, n: int, r: int
-) -> list[Test]:
-    """The joint enabledness test for a (first, second) transition pair:
-    (xi_0 ∧ phi ∧ test(op)) shifted past the frozen segments, conjoined with
-    the compiled second-machine test.  Returned as a disjoint DNF."""
-    return _conjoin_xi(_xi_base(sum(ybar), phi, op, n, r), q, xbar, ybar, psi, r)
-
-
 # ---------------------------------------------------------------------------
 # The product construction
 
@@ -250,7 +235,12 @@ def compose_general(first: Transducer, second: Transducer) -> Transducer:
         return found
 
     def xi(t, q, xbar, ybar, psi):
-        return _conjoin_xi(shifted("base", t, sum(ybar)), q, xbar, ybar, psi, r)
+        """(xi_0 ∧ phi ∧ test(op)) of t shifted past the frozen segments and
+        conjoined with psi compiled against them, as a disjoint DNF."""
+        base = shifted("base", t, sum(ybar))
+        if base.false:
+            return []
+        return [base.conjoin(term) for term in xi_bar(q, xbar, ybar, psi, r) if not term.false]
 
     def pol_of(state) -> int:
         tag = state[0]

@@ -198,6 +198,11 @@ class _RunTable:
                 raise WordError(f"letter {pos} of the word is {sym!r}, not a Symbol")
             lid = ids.get(sym)
             if lid is None:
+                if sym not in self.machine.input_alphabet:
+                    raise WordError(
+                        f"letter {pos} of the word is {sym.render()!r}, "
+                        "not in the machine's input alphabet"
+                    )
                 with _COMPILE_LOCK:
                     lid = ids.get(sym)
                     if lid is None:
@@ -252,8 +257,9 @@ def run(
 
     Requires a deterministic machine; raises NondeterministicChoiceError if
     two transitions are ever enabled at once, and WordError if ``u`` holds a
-    non-Symbol or the bare endmarker.  ``detect_loop`` trades memory for
-    reporting the repeated configuration instead of a bare budget stop.
+    non-Symbol, the bare endmarker or a letter outside the input alphabet.
+    ``detect_loop`` trades memory for reporting the repeated configuration
+    instead of a bare budget stop.
 
     Runs on the machine's compiled table; at every configuration it checks,
     in the order of the reference loop over ``step``: final, successors,

@@ -29,7 +29,6 @@ from .core import (
 from .analysis import is_reversible
 
 __all__ = [
-    "reverse_test_under_op",
     "reverse_transducer",
     "eliminate_equality",
     "split_outputs",

@@ -36,7 +36,6 @@ __all__ = [
     "two_way_violations",
     "two_way_is_deterministic",
     "two_way_is_reverse_deterministic",
-    "two_way_is_reversible",
     "zero_pebble_to_two_way",
     "two_way_to_zero_pebble",
 ]
@@ -155,10 +154,6 @@ def two_way_is_deterministic(t2: TwoWayTransducer) -> bool:
 
 def two_way_is_reverse_deterministic(t2: TwoWayTransducer) -> bool:
     return _two_way_unique(t2, "dst")
-
-
-def two_way_is_reversible(t2: TwoWayTransducer) -> bool:
-    return two_way_is_deterministic(t2) and two_way_is_reverse_deterministic(t2)
 
 
 def zero_pebble_to_two_way(machine: Transducer) -> TwoWayTransducer:

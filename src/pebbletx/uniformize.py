@@ -3,14 +3,14 @@ pebbleless simulator T_0 reversible, and compose the parts back.
 
 Reversible uniformization of T_0 goes through two-way transducers (DFJL17),
 which this package deliberately does not implement: ``uniformize_pipeline``
-takes that step as a hook, and ``twoway`` holds the bridge such a hook
-would cross.
+takes that step as a machine-level hook, a callable from T_0 to an
+equivalent reversible pebbleless machine, and ``twoway`` holds the bridge
+such a hook would cross.  The pipeline always returns a machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .analysis import is_deterministic, is_reverse_deterministic, is_reversible
 from .compose import compose
@@ -24,67 +24,24 @@ from .core import (
 from .decompose import build_config_enumerator, build_equality_annotator, decompose
 from .runner import semantics
 
-__all__ = ["OracleHook", "UniformizeResult", "uniformize_pipeline", "brute_force_hook"]
-
-
-@dataclass(frozen=True)
-class OracleHook:
-    """Function-level uniformizer: maps a word to one output of the relation
-    (or None outside the domain).  Used where a machine-level reversible
-    uniformizer is unavailable."""
-
-    fn: Callable
-    name: str = "oracle"
+__all__ = ["UniformizeResult", "uniformize_pipeline"]
 
 
 @dataclass
 class UniformizeResult:
-    """Outcome of the uniformization pipeline.
+    """Outcome of the uniformization pipeline: a deterministic machine with
+    the input's pebble count.
 
-    ``transducer`` is None when the hook is function-level.  ``reversible``
-    records whether the reversibility guarantee holds; with the identity
-    hook the result is only deterministic.  The 2^{O((kn)^2)} state bound of
-    the full construction depends on the external reversible uniformizer
-    supplied through the hook and is deliberately not asserted here.
+    ``reversible`` records whether the reversibility guarantee holds; with
+    the identity hook the result is only deterministic.  The 2^{O((kn)^2)}
+    state bound of the full construction depends on the external reversible
+    uniformizer supplied through the hook and is deliberately not asserted
+    here.
     """
 
-    transducer: Optional[Transducer]
-    apply: Callable
-    pebbles: int
-    deterministic: bool
+    transducer: Transducer
     reversible: bool
     notes: str
-
-
-def brute_force_hook(machine: Transducer, budget: Optional[int] = None) -> OracleHook:
-    """Lexicographically-least-run selector over a (possibly nondeterministic)
-    pebbleless machine, as a function.  Depth-first over loop-free paths,
-    trying transitions in a canonical order."""
-    from .runner import default_budget, initial_configuration, is_final_configuration, step
-
-    order = {t: i for i, t in enumerate(sorted(machine.transitions, key=lambda t: repr(t)))}
-
-    def fn(u):
-        word = word_symbols(u)
-        limit = budget if budget is not None else default_budget(machine, word)
-
-        def dfs(c, out, depth, on_path):
-            if is_final_configuration(machine, c):
-                return out
-            if depth >= limit:
-                return None
-            for t, c2 in sorted(step(machine, c, word), key=lambda tc: order[tc[0]]):
-                if c2 in on_path:
-                    continue
-                res = dfs(c2, out + t.out, depth + 1, on_path | {c2})
-                if res is not None:
-                    return res
-            return None
-
-        c0 = initial_configuration(machine)
-        return dfs(c0, (), 0, frozenset((c0,)))
-
-    return OracleHook(fn, name=f"brute_force({machine.name})")
 
 
 _EXCLUSION_NOTE = (
@@ -115,9 +72,8 @@ def uniformize_pipeline(machine: Transducer, hook=None) -> UniformizeResult:
 
     ``hook`` may be None/'identity' (legal when the simulator is already
     deterministic; the result is deterministic but not necessarily
-    reversible), a callable turning the simulator into an equivalent
-    reversible machine, or an :class:`OracleHook` for a function-level
-    uniformizer (then no machine is produced, only ``apply``).
+    reversible) or a callable turning the simulator into an equivalent
+    reversible machine.
     """
     k = machine.k
     if k == 0:
@@ -135,20 +91,6 @@ def uniformize_pipeline(machine: Transducer, hook=None) -> UniformizeResult:
         copies = semantics(enumerator, u)
         return None if copies is None else semantics(annotator, copies)
 
-    if isinstance(hook, OracleHook):
-
-        def apply(u):
-            w = image(u)
-            return None if w is None else hook.fn(w)
-
-        return UniformizeResult(
-            transducer=None,
-            apply=apply,
-            pebbles=k,
-            deterministic=True,
-            reversible=False,
-            notes=f"function-level hook {hook.name}; " + _EXCLUSION_NOTE,
-        )
     if hook is None or hook == "identity":
         if not is_deterministic(simulator)[0]:
             raise HookRequiredError(
@@ -174,9 +116,6 @@ def uniformize_pipeline(machine: Transducer, hook=None) -> UniformizeResult:
         result = compose(compose(enumerator, annotator), hooked)
     return UniformizeResult(
         transducer=result,
-        apply=lambda u: semantics(result, u),
-        pebbles=result.k,
-        deterministic=True,
         reversible=reversible and is_reversible(result),
         notes=note + "; " + _EXCLUSION_NOTE,
     )

@@ -146,6 +146,32 @@ def semantically_reverse_deterministic(machine: Transducer, word) -> bool:
     )
 
 
+def least_run_output(machine: Transducer, u, budget=None):
+    """Output of the first accepting run of a (possibly nondeterministic)
+    machine, or None: depth-first over loop-free paths of at most ``budget``
+    steps, trying transitions in a canonical order."""
+    from pebbletx.runner import default_budget, initial_configuration, is_final_configuration, step
+
+    word = word_symbols(u)
+    limit = budget if budget is not None else default_budget(machine, word)
+    order = {t: i for i, t in enumerate(sorted(machine.transitions, key=repr))}
+
+    def dfs(c, out, depth, on_path):
+        if is_final_configuration(machine, c):
+            return out
+        if depth >= limit:
+            return None
+        for t, c2 in sorted(step(machine, c, word), key=lambda tc: order[tc[0]]):
+            if c2 not in on_path:
+                res = dfs(c2, out + t.out, depth + 1, on_path | {c2})
+                if res is not None:
+                    return res
+        return None
+
+    c0 = initial_configuration(machine)
+    return dfs(c0, (), 0, frozenset((c0,)))
+
+
 def first_conflict_reference(machine: Transducer, end: str, guard_of, direction: str):
     """``analysis._first_conflict`` without its complementary-atom skip:
     every pair of a group has its joint guard built and checked."""

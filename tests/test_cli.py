@@ -332,8 +332,10 @@ def test_run_command_empty_input(capsys, squaring_file):
     assert capsys.readouterr().out.strip() == ""
 
 
-def test_run_command_rejects_inner_endmarker(capsys, squaring_file):
-    assert cli.main(["run", squaring_file, "--input", "a#b"]) == 3
+@pytest.mark.parametrize("word", ["a#b", "abz"])
+def test_run_command_rejects_inner_endmarker(capsys, squaring_file, word):
+    # the bare endmarker and a letter outside the alphabet are both bad words
+    assert cli.main(["run", squaring_file, "--input", word]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: WordError:")
@@ -428,12 +430,17 @@ def test_decompose_command_pebbleless_machine(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_uniformize_command(tmp_path, squaring_file, capsys):
+def test_uniformize_command(tmp_path, capsys):
     out = tmp_path / "uni.ptx"
-    assert cli.main(["uniformize", squaring_file, "-o", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "pebbles: 1" in printed
-    assert "not asserted" in printed
+    assert cli.main(["uniformize", str(CORPUS / "squaring.ptx"), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pebbles: 1",
+        "deterministic: yes",
+        "reversible: yes",
+        "notes: identity hook; result deterministic; reversible uniformization of "
+        "the pebbleless simulator is delegated to an external hook; the "
+        "2^O((kn)^2) state bound that would follow from it is not asserted",
+    ]
     uni = load(out)
     assert semantics(uni, "ab") == semantics(squaring("ab"), "ab")
 

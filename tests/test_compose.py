@@ -14,7 +14,6 @@ from machines import (
 from pebbletx.analysis import is_deterministic, is_reverse_deterministic, is_reversible, validate
 from pebbletx.builtins import copier, iterated_reverse, squaring
 from pebbletx.compose import (
-    build_xi,
     compose,
     compose_simple,
     with_endmarker_prefix,
@@ -386,7 +385,7 @@ def test_xi_bar_matches_decoded_evaluation():
                         assert got == want, (frozen_stack, frozen_head, cur_stack, head, psi)
 
 
-def test_build_xi_stack_window():
+def test_stack_window():
     # the shifted xi_0 component accepts exactly stack sizes in [d, d+n]
     from pebbletx.compose import _stack_window
 
@@ -397,11 +396,6 @@ def test_build_xi_stack_window():
             for size in range(r + 1):
                 peb = tuple(0 for _ in range(size))
                 assert eval_test(window, peb, 0) == (d <= size <= d + n)
-    # and through build_xi with no frozen segments (d = 0)
-    [t] = build_xi("q", (), (), TRUE, NOP, TRUE, 1, 3)
-    for size in range(4):
-        peb = tuple(0 for _ in range(size))
-        assert eval_test(t, peb, 0) == (size <= 1)
 
 
 def test_drop_gadget_entry_selects_stack_size(general_pair):

@@ -318,3 +318,19 @@ def test_explore_is_first_in_first_out():
         assert [(t.src, t.dst) for t in transitions] == [
             (s, d) for s in expanded for d in edges.get(s, ())
         ]
+
+
+def test_every_exported_name_resolves():
+    # a name left in some module's __all__ after its definition went fails here
+    import importlib
+    import pkgutil
+
+    import pebbletx
+
+    modules = [pebbletx] + [
+        importlib.import_module(f"pebbletx.{info.name}")
+        for info in pkgutil.iter_modules(pebbletx.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

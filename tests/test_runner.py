@@ -255,7 +255,9 @@ def test_budget_soundness(sq):
 
 
 @pytest.mark.parametrize("fn", [run, semantics, enumerate_runs])
-@pytest.mark.parametrize("word", ["a#b", "#", ("a", "b"), [Symbol("a"), 3], (ENDMARKER,)])
+@pytest.mark.parametrize(
+    "word", ["a#b", "#", ("a", "b"), [Symbol("a"), 3], (ENDMARKER,), "abz"]
+)
 def test_malformed_words_raise_word_error(sq, fn, word):
     with pytest.raises(WordError):
         fn(sq, word)

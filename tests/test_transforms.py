@@ -29,6 +29,7 @@ from pebbletx.core import (
     head_eq,
     lift,
     peb_eq,
+    reverse_test_under_op,
     word_symbols,
 )
 from pebbletx.runner import enumerate_runs, run, semantics, step
@@ -36,7 +37,6 @@ from pebbletx.transforms import (
     consistent_bits,
     eliminate_equality,
     ensure_full_read,
-    reverse_test_under_op,
     reverse_transducer,
     separate_drop_lift_moves,
     separate_ops_unchecked,

@@ -13,6 +13,7 @@ from machines import (
     drop_two_then_copy_rest,
     drop_two_then_copy_rest_fn,
     equality_annotator_states,
+    least_run_output,
     pick_any_letter,
     random_machine,
     words_upto,
@@ -32,12 +33,11 @@ from pebbletx.twoway import (
     run_two_way,
     two_way_is_deterministic,
     two_way_is_reverse_deterministic,
-    two_way_is_reversible,
     two_way_to_zero_pebble,
     two_way_violations,
     zero_pebble_to_two_way,
 )
-from pebbletx.uniformize import brute_force_hook, uniformize_pipeline
+from pebbletx.uniformize import uniformize_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +293,9 @@ def test_uniformize_pipeline_on_generated_machines(seed, k):
     want = [semantics(machine, u) for u in _WORDS]
     # most draws accept nothing, and those check only rejection
     assume(any(out is not None for out in want))
-    result = uniformize_pipeline(machine)
-    assert result.pebbles == k
-    assert [result.apply(u) for u in _WORDS] == want
+    result = uniformize_pipeline(machine).transducer
+    assert result.k == k
+    assert [semantics(result, u) for u in _WORDS] == want
 
 
 def test_pipeline_through_compose(sq):
@@ -346,10 +346,10 @@ def test_two_way_interpreter_matches(itrev, ident):
 
 def test_two_way_preserves_reversibility(itrev, ident):
     for machine in (itrev, ident):
+        assert is_reversible(machine)
         t2 = zero_pebble_to_two_way(machine)
         assert two_way_is_deterministic(t2)
         assert two_way_is_reverse_deterministic(t2)
-        assert two_way_is_reversible(t2) == is_reversible(machine)
         assert is_reversible(two_way_to_zero_pebble(t2))
 
 
@@ -490,7 +490,8 @@ def test_two_way_bridge_on_generated_machines():
         back = two_way_to_zero_pebble(t2)
         if is_reversible(machine):
             reversible += 1
-            assert two_way_is_reversible(t2) and is_reversible(back)
+            assert two_way_is_deterministic(t2) and two_way_is_reverse_deterministic(t2)
+            assert is_reversible(back)
         if not is_deterministic(machine)[0]:
             continue
         deterministic += 1
@@ -526,11 +527,10 @@ def test_two_way_rejects_pebbled_machines(sq):
 
 def test_uniformize_identity_hook(sq):
     result = uniformize_pipeline(sq, hook="identity")
-    assert result.pebbles == sq.k
-    assert result.deterministic
-    assert result.transducer is not None
+    assert result.transducer.k == sq.k
+    assert is_deterministic(result.transducer)[0]
     for u in words_upto("ab", 3):
-        assert result.apply(u) == semantics(sq, u)
+        assert semantics(result.transducer, u) == semantics(sq, u)
     assert "not asserted" in result.notes
 
 
@@ -540,19 +540,19 @@ def test_uniformize_requires_hook_for_nondeterministic():
         uniformize_pipeline(nd)
 
 
-def test_uniformize_brute_force_hook_membership_and_domain():
+def test_least_run_output_membership_and_domain():
+    # the least run of the nondeterministic simulator on each image word
+    # picks a member of the relation, and nothing outside its domain
     nd = pick_any_letter()
     t0 = decompose(nd)
-    result = uniformize_pipeline(nd, hook=brute_force_hook(t0))
-    assert result.transducer is None
-    assert result.pebbles == nd.k
+    ck = build_config_enumerator(nd.k, "ab")
+    ckeq = build_equality_annotator(nd.k, "ab")
     for u in words_upto("ab", 3):
-        relation = enumerate_runs(nd, u)
-        out = result.apply(u)
-        if relation.outputs:
-            assert out in relation.outputs, u
-        else:
-            assert out is None, u
+        image = semantics(ckeq, semantics(ck, u))
+        relation = enumerate_runs(t0, image)
+        assert relation.outputs == enumerate_runs(nd, u).outputs, u
+        out = least_run_output(t0, image)
+        assert out in relation.outputs if relation.outputs else out is None, u
 
 
 def test_uniformize_machine_hook_must_be_reversible(sq):
@@ -587,19 +587,19 @@ def test_uniformize_machine_hook_semantics_probed(sq, ident):
     result = uniformize_pipeline(sq, hook=lambda m: m)
     assert result.reversible
     for u in words_upto("ab", 3):
-        assert result.apply(u) == semantics(sq, u)
+        assert semantics(result.transducer, u) == semantics(sq, u)
 
 
 def test_uniformize_zero_pebble_machine(itrev):
-    result = uniformize_pipeline(itrev, hook="identity")
-    assert result.pebbles == 0
+    result = uniformize_pipeline(itrev, hook="identity").transducer
+    assert result.k == 0
     for u in words_upto("ab!", 3):
-        assert result.apply(u) == semantics(itrev, u)
+        assert semantics(result, u) == semantics(itrev, u)
 
 
 def test_uniformize_nondeterministic_equality_machine():
     # 2 pebbles, equality guards, nondeterministic drops: the decomposition
-    # still carries the relation, and the brute-force hook picks a member
+    # still carries the relation, and its least run picks a member
     from machines import equality_pair_probe
 
     probe = equality_pair_probe()
@@ -607,19 +607,13 @@ def test_uniformize_nondeterministic_equality_machine():
     assert not is_deterministic(t0)[0]
     ck = build_config_enumerator(2, "ab")
     ckeq = build_equality_annotator(2, "ab")
-    for u in ["", "a", "ab"]:
+    for u in ["", "a", "ab", "ba"]:
         image = semantics(ckeq, semantics(ck, u))
         got = enumerate_runs(t0, image, budget=6000)
         want = enumerate_runs(probe, u)
         assert got.outputs == want.outputs and not got.truncated, u
-    result = uniformize_pipeline(probe, hook=brute_force_hook(t0, budget=6000))
-    for u in ["", "a", "ab", "ba"]:
-        relation = enumerate_runs(probe, u)
-        out = result.apply(u)
-        if relation.outputs:
-            assert out in relation.outputs, u
-        else:
-            assert out is None, u
+        out = least_run_output(t0, image, budget=6000)
+        assert out in got.outputs if got.outputs else out is None, u
 
 
 def test_endmarker_letter_is_a_pebble_error():
